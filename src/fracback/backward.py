@@ -70,20 +70,32 @@ class ReconstructionResult:
 
 
 class Propagator:
-    """Terminal homogeneous map v -> F^N v on a fixed (system, grid) pair."""
+    """Terminal homogeneous map v -> F^N v on a fixed (system, grid) pair.
 
-    def __init__(self, sys: FemSystem, grid: TimeGrid, spectral: bool):
+    The spectral form needs the dense eigenpairs of the system, refused
+    above ``dense_threshold`` dofs.
+    """
+
+    def __init__(self, sys: FemSystem, grid: TimeGrid, spectral: bool,
+                 dense_threshold: int = 4096):
         self.sys = sys
         self.grid = grid
         self.spectral = spectral
         self.applications = 0
         if spectral:
-            lam, phi = sys.eigenpairs()
+            lam, phi = sys.eigenpairs(dense_threshold)
             self.symbol = scalar_terminal_factor(grid.alpha, grid.T, grid.N, lam)
             self.phi = phi
         else:
             self.symbol = None
             self.phi = None
+
+    @classmethod
+    def for_config(cls, sys: FemSystem, grid: TimeGrid,
+                   cfg: BackwardConfig) -> "Propagator":
+        spectral = cfg.fast_path == "on" or (
+            cfg.fast_path == "auto" and sys.num_dofs <= cfg.dense_threshold)
+        return cls(sys, grid, spectral, cfg.dense_threshold)
 
     def apply_values(self, v: np.ndarray) -> np.ndarray:
         self.applications += 1
@@ -92,23 +104,6 @@ class Propagator:
             return self.phi @ (self.symbol * coeff)
         out = apply_F(self.sys, self.grid, GridFunction(self.sys, v))
         return out.values
-
-
-_PROP_CACHE: dict = {}
-_PROP_CACHE_MAX = 8
-
-
-def _propagator(sys: FemSystem, grid: TimeGrid, cfg: BackwardConfig) -> Propagator:
-    spectral = cfg.fast_path == "on" or (
-        cfg.fast_path == "auto" and sys.num_dofs <= cfg.dense_threshold)
-    key = (id(sys), grid.T, grid.N, grid.alpha, spectral)
-    prop = _PROP_CACHE.get(key)
-    if prop is None or prop.sys is not sys:
-        if len(_PROP_CACHE) >= _PROP_CACHE_MAX:
-            _PROP_CACHE.pop(next(iter(_PROP_CACHE)))
-        prop = Propagator(sys, grid, spectral)
-        _PROP_CACHE[key] = prop
-    return prop
 
 
 def _solve_regularized(prop: Propagator, rhs_values: np.ndarray,
@@ -131,7 +126,7 @@ def solve_linear_regularized(sys: FemSystem, grid: TimeGrid, rhs: GridFunction,
     """Solve (gamma I + F^N) x = rhs by mass-weighted conjugate gradients."""
     if rhs.system is not sys:
         raise ValueError("right-hand side defined on a different system")
-    prop = _propagator(sys, grid, cfg)
+    prop = Propagator.for_config(sys, grid, cfg)
     x, _ = _solve_regularized(prop, rhs.values, cfg)
     return GridFunction(sys, x)
 
@@ -150,7 +145,7 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
     """
     if g_obs.system is not sys:
         raise ValueError("observation defined on a different system")
-    prop = _propagator(sys, grid, cfg)
+    prop = Propagator.for_config(sys, grid, cfg)
     M = sys.M
 
     def m_norm(v):

@@ -230,34 +230,22 @@ def _resolve(spec: ExperimentSpec, paper_scale: bool) -> ResolvedSpec:
 # ---------------------------------------------------------------------------
 # observation pipeline
 
-_SYS_CACHE: dict = {}
-_SYS_CACHE_MAX = 10
+def _assemble(dim: int, n: int) -> FemSystem:
+    return assemble(build_interval_mesh(n) if dim == 1 else build_square_mesh(n))
 
 
-def _system(dim: int, n: int) -> FemSystem:
-    key = (dim, n)
-    if key not in _SYS_CACHE:
-        if len(_SYS_CACHE) >= _SYS_CACHE_MAX:
-            _SYS_CACHE.pop(next(iter(_SYS_CACHE)))
-        mesh = build_interval_mesh(n) if dim == 1 else build_square_mesh(n)
-        _SYS_CACHE[key] = assemble(mesh)
-    return _SYS_CACHE[key]
+def _clean_observation(res: ResolvedSpec, coarse: Optional[FemSystem] = None):
+    """Fine-grid solve restricted to the coarse mesh (noise-free).
 
-
-_CLEAN_CACHE: dict = {}
-_CLEAN_CACHE_MAX = 12
-
-
-def _clean_observation(res: ResolvedSpec):
-    """Fine-grid solve restricted to the coarse mesh (noise-free), cached."""
+    Returns ``(coarse, g_clean)``.  The coarse system is assembled unless
+    given.  The fine system lives for this solve only, unless the meshes
+    coincide (n_ref = n): then the coarse system is solved on and keeps
+    the step factor for the reconstruction.
+    """
     spec = res.spec
-    key = (res.dim, res.alpha, res.T, spec.nonlinearity, spec.initial_data,
-           res.n, res.n_ref, res.N_ref)
-    cached = _CLEAN_CACHE.get(key)
-    if cached is not None:
-        return cached
-    coarse = _system(res.dim, res.n)
-    fine = _system(res.dim, res.n_ref)
+    if coarse is None:
+        coarse = _assemble(res.dim, res.n)
+    fine = coarse if res.n_ref == res.n else _assemble(res.dim, res.n_ref)
     data = get_initial_data(spec.initial_data, res.dim)
     u0_fine = l2_project(fine, data.func, subdivide=data.subdivide)
     grid_ref = TimeGrid(T=res.T, N=res.N_ref, alpha=res.alpha)
@@ -265,17 +253,21 @@ def _clean_observation(res: ResolvedSpec):
     traj = solve_forward(fine, grid_ref, u0_fine, f, keep_states=False)
     full_coarse = restrict_nodal(fine.mesh, coarse.mesh, traj.terminal.full_values())
     g_clean = GridFunction(coarse, full_coarse[coarse.interior_ids])
-    if len(_CLEAN_CACHE) >= _CLEAN_CACHE_MAX:
-        _CLEAN_CACHE.pop(next(iter(_CLEAN_CACHE)))
-    _CLEAN_CACHE[key] = (coarse, g_clean)
     return coarse, g_clean
 
 
 def make_observation(spec: ExperimentSpec, *, paper_scale: bool = False,
-                     seed: Optional[int] = None):
-    """Build (g_clean, g_noisy, achieved_noise_l2) on the coarse mesh."""
-    res = spec.resolved(paper_scale)
-    coarse, g_clean = _clean_observation(res)
+                     seed: Optional[int] = None,
+                     clean: Optional[GridFunction] = None):
+    """Build (g_clean, g_noisy, achieved_noise_l2) on the coarse mesh.
+
+    ``clean`` is a noise-free observation of ``spec`` returned by an
+    earlier call; it is reused instead of a new fine-grid solve.
+    """
+    g_clean = clean
+    if g_clean is None:
+        _, g_clean = _clean_observation(spec.resolved(paper_scale))
+    coarse = g_clean.system
     delta = spec.noise.delta
     if delta == 0.0:
         return g_clean, g_clean.copy(), 0.0
@@ -298,11 +290,13 @@ def make_observation(spec: ExperimentSpec, *, paper_scale: bool = False,
 # reconstruction runs
 
 def _run_single(spec: ExperimentSpec, *, paper_scale: bool = False,
-                seed: Optional[int] = None):
+                seed: Optional[int] = None, clean: Optional[GridFunction] = None):
+    """One reconstruction; ``clean`` as in :func:`make_observation`."""
     res = spec.resolved(paper_scale)
     t0 = time.perf_counter()
-    coarse, _ = _clean_observation(res)
-    _, g_noisy, achieved = make_observation(spec, paper_scale=paper_scale, seed=seed)
+    _, g_noisy, achieved = make_observation(spec, paper_scale=paper_scale, seed=seed,
+                                            clean=clean)
+    coarse = g_noisy.system
     data = get_initial_data(spec.initial_data, res.dim)
     truth = l2_project(coarse, data.func, subdivide=data.subdivide)
     grid = TimeGrid(T=res.T, N=res.N, alpha=res.alpha)
@@ -385,7 +379,9 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None, *,
         with ProcessPoolExecutor(max_workers=threads) as pool:
             cell_results = list(pool.map(_table_cell, jobs))
     else:
-        cell_results = [_table_cell(job) for job in jobs]
+        # the coarse systems (and their eigenpairs) are shared across alphas
+        systems = {}
+        cell_results = [_table_cell(job, systems) for job in jobs]
 
     rows = []
     errors = np.zeros((len(alphas), len(deltas)))
@@ -418,14 +414,25 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None, *,
             "orders": orders, "rows": rows}
 
 
-def _table_cell(job):
-    """One (alpha, delta) cell: all repetitions; first seed keeps artifacts."""
+def _table_cell(job, systems=None):
+    """One (alpha, delta) cell: one reference solve, then every repetition on
+    its clean observation; the first seed keeps artifacts.
+
+    ``systems`` maps (dim, n) to the coarse systems of the sweep.
+    """
     cell_spec, seeds, paper_scale = job
+    res = cell_spec.resolved(paper_scale)
+    systems = {} if systems is None else systems
+    key = (res.dim, res.n)
+    if key not in systems:
+        systems[key] = _assemble(*key)
+    _, g_clean = _clean_observation(res, systems[key])
     cell_rows = []
     first_field = None
     first_hist = None
     for rep, seed in enumerate(seeds):
-        row, result, _ = _run_single(cell_spec, paper_scale=paper_scale, seed=seed)
+        row, result, _ = _run_single(cell_spec, paper_scale=paper_scale, seed=seed,
+                                     clean=g_clean)
         cell_rows.append(row)
         if rep == 0:
             first_field = result.u0_hat

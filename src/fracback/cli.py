@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from fracback.backward import ParameterRangeError, select_parameters
+from fracback.backward import select_parameters
 from fracback.bench import ExperimentSpec, run_iteration_history, run_table, _run_single
 from fracback.fem import NumericalFailure, write_field_csv
 from fracback.mlf import mittag_leffler
@@ -119,13 +119,13 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_forward(args) -> int:
-    from fracback.bench import _system, get_initial_data
+    from fracback.bench import _assemble, get_initial_data
     from fracback.fem import l2_project
     from fracback.forward import TimeGrid, get_nonlinearity, solve_forward
 
     spec = _load_spec(args)
     res = spec.resolved(args.paper_scale)
-    sys_c = _system(res.dim, res.n)
+    sys_c = _assemble(res.dim, res.n)
     data = get_initial_data(spec.initial_data, res.dim)
     u0 = l2_project(sys_c, data.func, subdivide=data.subdivide)
     grid = TimeGrid(T=res.T, N=res.N, alpha=res.alpha)
@@ -210,7 +210,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, ParameterRangeError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except NumericalFailure as exc:

@@ -116,6 +116,14 @@ class FemSystem:
     ``m_coupling`` keeps the interior rows of the full mass matrix so
     that loads of functions with nonzero boundary trace (e.g. f(0) != 0
     in the nonlinear term) pick up the boundary-adjacent contributions.
+
+    The system also owns the data derived from it, built on first use and
+    freed with it: the dense eigenpairs of (K, M) (:meth:`eigenpairs`) and,
+    in ``step_workspaces``, one time-stepping workspace per time grid (the
+    LU factor of tau^-alpha M + K and the CQ weights, filled by
+    :mod:`fracback.forward`).  Nothing outside the system keeps them, so
+    dropping the last reference to a system releases its factors; a
+    pickled copy leaves them out.
     """
 
     def __init__(self, mesh, M, K, m_coupling, interior_ids):
@@ -125,6 +133,12 @@ class FemSystem:
         self.m_coupling = m_coupling
         self.interior_ids = interior_ids
         self._eig = None
+        self.step_workspaces = {}
+
+    def __getstate__(self):
+        # a pickled copy (e.g. a result sent back by a worker process)
+        # carries the matrices only and rebuilds derived data on use
+        return {**self.__dict__, "_eig": None, "step_workspaces": {}}
 
     @property
     def num_dofs(self) -> int:
@@ -143,7 +157,7 @@ class FemSystem:
         """Generalized eigenpairs of (K, M), eigenvectors M-orthonormal.
 
         Backed by a dense solve; refuses systems above the threshold.
-        Cached after the first call.
+        Kept on the system after the first call.
         """
         if self.num_dofs > dense_threshold:
             raise UnsupportedSize(
@@ -187,10 +201,6 @@ class GridFunction:
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.system, self.values.copy())
-
-
-def zero_function(sys: FemSystem) -> GridFunction:
-    return GridFunction(sys, np.zeros(sys.num_dofs))
 
 
 # ---------------------------------------------------------------------------

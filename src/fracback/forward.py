@@ -97,8 +97,6 @@ class _StepWorkspace:
     """Factored step matrix and CQ weights reused across solves on one grid."""
 
     def __init__(self, sys: FemSystem, grid: TimeGrid):
-        self.sys = sys
-        self.grid = grid
         tau_a = grid.tau ** (-grid.alpha)
         self.tau_a = tau_a
         mat = (tau_a * sys.M + sys.K).tocsc()
@@ -108,18 +106,11 @@ class _StepWorkspace:
         self.s = wts.partial_sums()
 
 
-_WORKSPACE_CACHE: dict[tuple, _StepWorkspace] = {}
-_WORKSPACE_CACHE_MAX = 8
-
-
 def _workspace(sys: FemSystem, grid: TimeGrid) -> _StepWorkspace:
-    key = (id(sys), grid.T, grid.N, grid.alpha)
-    ws = _WORKSPACE_CACHE.get(key)
-    if ws is None or ws.sys is not sys:
-        if len(_WORKSPACE_CACHE) >= _WORKSPACE_CACHE_MAX:
-            _WORKSPACE_CACHE.pop(next(iter(_WORKSPACE_CACHE)))
-        ws = _StepWorkspace(sys, grid)
-        _WORKSPACE_CACHE[key] = ws
+    """The system's workspace for ``grid``, built on first use."""
+    ws = sys.step_workspaces.get(grid)
+    if ws is None:
+        ws = sys.step_workspaces[grid] = _StepWorkspace(sys, grid)
     return ws
 
 

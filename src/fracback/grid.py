@@ -45,10 +45,6 @@ class Mesh:
     def num_interior(self) -> int:
         return int((~self.boundary_mask).sum())
 
-    def interior_nodes(self) -> np.ndarray:
-        """Coordinates of the interior nodes, in dof order."""
-        return self.nodes[~self.boundary_mask]
-
     def element_measures(self) -> np.ndarray:
         """Signed length/area of every element (positive by construction)."""
         if self.dim == 1:

@@ -4,7 +4,7 @@ the sine-spectral solution oracle for the linear problems.
 Evaluation regions, gauged by s = |x|^(1/alpha) (which controls both the
 Taylor cancellation ~e^s and the asymptotic truncation error ~e^-s):
 
-* s <= 5:   alternating Taylor series, compensated float64 summation;
+* s <= 5:   alternating Taylor series, exactly rounded float64 summation;
 * s >= 34:  asymptotic inverse-power series at optimal truncation,
             evaluated in log space (alpha < 1);
 * between:  neither series reaches full accuracy in doubles, so the
@@ -19,6 +19,8 @@ series with precision adapted to s (rare, correctness over speed).
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -52,20 +54,14 @@ class MlParams:
 
 
 def _taylor_f64(alpha, beta, x):
-    """Alternating series sum x^k / Gamma(alpha k + beta), Kahan-compensated."""
+    """Alternating series sum x^k / Gamma(alpha k + beta), summed exactly
+    rounded by ``math.fsum``."""
     X = -x
     k = np.arange(1, _TAYLOR_TERMS + 1, dtype=np.float64)
     with np.errstate(under="ignore"):
         mags = np.exp(k * np.log(X) - gammaln(alpha * k + beta))
     terms = np.where(k % 2 == 0, mags, -mags)
-    total = float(rgamma(beta))     # k = 0 term
-    comp = 0.0
-    for t in terms:
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return float(total)
+    return math.fsum([float(rgamma(beta)), *terms.tolist()])
 
 
 def _asymptotic(alpha, beta, x):
@@ -106,18 +102,10 @@ def _asymptotic(alpha, beta, x):
     return float(np.sum(terms))
 
 
-_GAMMA_CACHE: dict = {}
-_GAMMA_CACHE_MAX = 256
-
-
+@functools.lru_cache(maxsize=256)
 def _gamma_table(alpha, beta, dps):
-    table = _GAMMA_CACHE.get((alpha, beta, dps))
-    if table is None:
-        if len(_GAMMA_CACHE) >= _GAMMA_CACHE_MAX:
-            _GAMMA_CACHE.pop(next(iter(_GAMMA_CACHE)))
-        table = []
-        _GAMMA_CACHE[(alpha, beta, dps)] = table
-    return table
+    """Gamma(alpha j + beta) at ``dps`` digits, extended in place by the caller."""
+    return []
 
 
 def _taylor_mp(alpha, beta, x, s):

@@ -12,7 +12,14 @@ from fracback.backward import (
     solve_linear_regularized,
 )
 from fracback.cq import scalar_terminal_factor
-from fracback.fem import GridFunction, NumericalFailure, assemble, l2_error, l2_norm
+from fracback.fem import (
+    GridFunction,
+    NumericalFailure,
+    UnsupportedSize,
+    assemble,
+    l2_error,
+    l2_norm,
+)
 from fracback.forward import TimeGrid, apply_F, get_nonlinearity, solve_forward
 from fracback.grid import build_interval_mesh
 
@@ -53,6 +60,17 @@ def test_regularized_solve_matches_spectral_inverse(sys16, grid, fast_path):
     x = solve_linear_regularized(sys16, grid, GridFunction(sys16, rhs), cfg)
     ref = phi @ ((phi.T @ (sys16.M @ rhs)) / (gamma + rN))
     assert np.max(np.abs(x.values - ref)) / np.max(np.abs(ref)) < 1e-8
+
+
+def test_dense_threshold_is_honoured(grid):
+    # 15 dofs: the spectral path must refuse a cap below the system size
+    sys = assemble(build_interval_mesh(16))
+    rhs = GridFunction(sys, np.ones(sys.num_dofs))
+    capped = BackwardConfig(gamma=1e-3, fast_path="on", dense_threshold=10)
+    with pytest.raises(UnsupportedSize):
+        solve_linear_regularized(sys, grid, rhs, capped)
+    with pytest.raises(UnsupportedSize):
+        fixed_point_reconstruct(sys, grid, rhs, get_nonlinearity("zero"), capped)
 
 
 def test_huge_gamma_limit(sys16, grid):

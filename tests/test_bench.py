@@ -1,8 +1,11 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from fracback import bench, forward
 from fracback.bench import (
     ExperimentSpec,
     NoiseSpec,
@@ -167,6 +170,58 @@ def test_run_reconstruction_deterministic_row():
     r2 = run_reconstruction(spec)
     r1.pop("runtime"), r2.pop("runtime")
     assert r1 == r2
+
+
+def test_run_reconstruction_releases_systems(monkeypatch):
+    # the coarse and fine systems, with their LU factors, die with the run
+    refs = []
+
+    def tracked(mesh):
+        sys = assemble(mesh)
+        refs.append(weakref.ref(sys))
+        return sys
+
+    monkeypatch.setattr(bench, "assemble", tracked)
+    run_reconstruction(small_spec(backward={"gamma": 1e-3, "fast_path": "off"}))
+    gc.collect()
+    assert len(refs) == 2
+    assert all(ref() is None for ref in refs)
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_run_table_repeats_reference_solves(tmp_path, monkeypatch):
+    # one fine reference solve per cell, shared by its repetitions, and a
+    # second sweep solves again
+    solves = _counting(monkeypatch, bench, "solve_forward")
+    counts = []
+    for name in ("a", "b"):
+        spec = small_spec(output_dir=str(tmp_path / name), repetitions=2)
+        run_table(spec, deltas=[2e-3, 1e-3], alphas=[0.4, 0.6])
+        counts.append(len(solves))
+        solves.clear()
+    assert counts == [4, 4]
+
+
+@pytest.mark.parametrize("n_ref, N_ref, factors", [(16, 20, 1), (64, 50, 2)])
+def test_stepping_run_factors_once_per_system_and_grid(monkeypatch, n_ref, N_ref, factors):
+    # n_ref = n, N_ref = N: the reference solve shares the reconstruction's
+    # factor; otherwise one for the fine and one for the coarse pair
+    splus = _counting(monkeypatch, forward, "splu")
+    row = run_reconstruction(small_spec(n=16, N=20, n_ref=n_ref, N_ref=N_ref,
+                                        backward={"gamma": 1e-3, "fast_path": "off"}))
+    assert row["outer_iters"] > 1
+    assert len(splus) == factors
 
 
 def test_run_table_shapes_and_orders(tmp_path):

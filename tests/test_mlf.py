@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfcx, gamma as gamma_fn
+from scipy.special import erfcx, gamma as gamma_fn, gammaln, rgamma
 
 from fracback.fem import assemble, l2_norm
 from fracback.grid import build_interval_mesh, build_square_mesh
@@ -92,6 +92,34 @@ def test_region_crossover_continuity():
         asym = _asymptotic(alpha, 1.0, x_hi)
         assert asym is not None
         assert abs(asym - _taylor_mp(alpha, 1.0, x_hi, 34.0)) < 1e-9
+
+
+def _taylor_kahan(alpha, beta, x, terms=700):
+    """The float64 Taylor series summed by a Kahan-compensated loop; also
+    returns the sum of the terms' magnitudes."""
+    k = np.arange(1, terms + 1, dtype=np.float64)
+    with np.errstate(under="ignore"):
+        mags = np.exp(k * np.log(-x) - gammaln(alpha * k + beta))
+    total = float(rgamma(beta))
+    comp = 0.0
+    for t in np.where(k % 2 == 0, mags, -mags):
+        y = t - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+    return total, abs(float(rgamma(beta))) + float(mags.sum())
+
+
+def test_taylor_sum_matches_kahan_reference():
+    # Kahan errs by at most ~2u sum|t_k| and an exactly rounded sum by u|S|,
+    # so the two agree to 4u sum|t_k| (u = 2^-53) over the Taylor region
+    u = 2.0 ** -53
+    for alpha in np.linspace(0.05, 1.95, 20):
+        for beta in (1.0, alpha, 0.5):
+            for s in np.geomspace(1e-3, 5.0, 12):
+                x = -(s ** alpha)
+                ref, magnitude = _taylor_kahan(alpha, beta, x)
+                assert abs(_taylor_f64(alpha, beta, x) - ref) <= 4.0 * u * magnitude
 
 
 def test_multiprecision_reference_band():
