@@ -1,8 +1,12 @@
 """Backward-Euler convolution quadrature for the Caputo derivative.
 
 Weights are the binomial expansion of (1 - xi)^alpha, generated by the
-stable two-term recurrence; the discrete derivative keeps the full
-history (no compression, fine at desk scale N <~ 2000).
+stable two-term recurrence.  Every CQ time stepper marches through
+:func:`march`, which keeps the full history (no compression) but
+accumulates it blockwise: each finished block of ``BLOCK`` states is pushed
+to all later steps with one GEMM, so a step itself reads only the states of
+its own block.  Beyond the N x d history the kernel needs O(N * BLOCK)
+memory for one Toeplitz slice of the weights.
 """
 
 from __future__ import annotations
@@ -10,6 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
+
+BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -37,6 +44,36 @@ def cq_weights(alpha: float, N: int) -> CqWeights:
     w[1:] = np.cumprod((j - 1.0 - alpha) / j)
     w.setflags(write=False)
     return CqWeights(alpha=alpha, N=N, w=w)
+
+
+def march(w: np.ndarray, hist: np.ndarray, step) -> np.ndarray:
+    """Fill ``hist[1:]`` with hist[n] = step(n, sum_{j<n} w[n-j] hist[j]).
+
+    ``hist`` is a C-contiguous (N+1, d) float64 array with ``hist[0]`` set
+    and ``w`` holds at least N+1 weights.  ``step`` returns the new state
+    and may read ``hist[:n]``.  The rows not yet written serve as the
+    accumulator: within a block the near terms are added directly, and
+    once block [b0, b1) is final one in-place GEMM adds its contribution
+    w[n-j] hist[j] to every later row n >= b1.  Returns ``hist``.
+    """
+    # the GEMM accumulates into hist[b1:].T only if that view is Fortran-ordered
+    if hist.dtype != np.float64 or not hist.flags.c_contiguous:
+        raise ValueError("history must be a C-contiguous float64 array")
+    N = hist.shape[0] - 1
+    hist[1:] = 0.0
+    if N >= BLOCK:
+        # the weights coupling a full block to the rows after it; C-contiguous,
+        # so far.T is Fortran-ordered and reaches dgemm without a copy
+        far = w[BLOCK + np.subtract.outer(np.arange(N + 1 - BLOCK), np.arange(BLOCK))]
+    for b0 in range(0, N + 1, BLOCK):
+        b1 = min(b0 + BLOCK, N + 1)
+        for n in range(max(b0, 1), b1):
+            hist[n] = step(n, hist[n] + w[n - b0:0:-1] @ hist[b0:n])
+        if b1 <= N:
+            # hist[b1:].T += hist[b0:b1].T @ far[:N+1-b1].T, accumulated in place
+            dgemm(1.0, hist[b0:b1].T, far[:N + 1 - b1].T, beta=1.0,
+                  c=hist[b1:].T, overwrite_c=True)
+    return hist
 
 
 def caputo_apply(weights: CqWeights, history, tau: float) -> np.ndarray:
@@ -74,8 +111,9 @@ def scalar_terminal_factor(alpha: float, T: float, N: int, lam, u0=1.0, source=N
     U = np.empty((N + 1, lam.size))
     U[0] = u0
     denom = ta + lam
-    for n in range(1, N + 1):
-        conv = w[n:0:-1] @ U[:n]
+
+    def step(n, conv):
         f_prev = source(U[n - 1]) if source is not None else 0.0
-        U[n] = (f_prev + ta * (s[n] * U[0] - conv)) / denom
-    return U[N]
+        return (f_prev + ta * (s[n] * U[0] - conv)) / denom
+
+    return march(w, U, step)[N]

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from fracback.cq import cq_weights
+from fracback.cq import cq_weights, march
 from fracback.fem import FemSystem, GridFunction, NumericalFailure, load_nonlinear
 
 
@@ -120,6 +120,10 @@ def solve_forward(sys: FemSystem, grid: TimeGrid, u0: GridFunction,
 
     Step n solves (tau^-a M + K) U^n = M f(U^{n-1})
                                        - tau^-a M [sum_j w_j U^{n-j} - s_n U^0].
+    The history sum comes from :func:`fracback.cq.march`, which accumulates
+    it blockwise in the (N+1) x d state array; beyond that array a solve
+    needs O(N * cq.BLOCK) memory.  A non-finite state raises
+    :class:`NumericalFailure` before it enters the history.
     """
     if u0.system is not sys:
         raise ValueError("initial data defined on a different system")
@@ -128,14 +132,17 @@ def solve_forward(sys: FemSystem, grid: TimeGrid, u0: GridFunction,
     hist = np.empty((N + 1, d))
     hist[0] = u0.values
     homogeneous = f.is_zero
-    for n in range(1, N + 1):
-        conv = ws.w[n:0:-1] @ hist[:n] - ws.s[n] * hist[0]
-        rhs = -ws.tau_a * (sys.M @ conv)
+
+    def step(n, conv):
+        rhs = -ws.tau_a * (sys.M @ (conv - ws.s[n] * hist[0]))
         if not homogeneous:
             rhs = rhs + load_nonlinear(sys, GridFunction(sys, hist[n - 1]), f)
-        hist[n] = ws.solver.solve(rhs)
-        if not np.all(np.isfinite(hist[n])):
+        u = ws.solver.solve(rhs)
+        if not np.all(np.isfinite(u)):
             raise NumericalFailure(f"forward step {n} produced non-finite values")
+        return u
+
+    march(ws.w, hist, step)
     terminal = GridFunction(sys, hist[N].copy())
     states = [GridFunction(sys, hist[n].copy()) for n in range(N + 1)] if keep_states else []
     return Trajectory(grid=grid, states=states, terminal=terminal)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln
 
-from fracback.cq import caputo_apply, cq_weights, scalar_terminal_factor
+from fracback.cq import BLOCK, caputo_apply, cq_weights, march, scalar_terminal_factor
 from fracback.fem import GridFunction, assemble
 from fracback.grid import build_interval_mesh
 
@@ -126,3 +126,49 @@ def test_scalar_terminal_matches_exponential_limit():
     got = scalar_terminal_factor(0.999, 1.0, N, lam)[0]
     euler = 1.0 / (1.0 + lam / N) ** N
     assert got == pytest.approx(euler, rel=5e-3)
+
+
+def naive_march(w, hist, step):
+    """Reference recurrence: the full history sum as a fresh GEMV per step."""
+    for n in range(1, hist.shape[0]):
+        hist[n] = step(n, w[n:0:-1] @ hist[:n])
+    return hist
+
+
+@given(N=st.integers(1, 3 * BLOCK + 1), d=st.integers(1, 40),
+       alpha=st.floats(0.05, 0.95), lagged=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(N=1, d=3, alpha=0.5, lagged=True, seed=0)
+@example(N=BLOCK - 1, d=3, alpha=0.5, lagged=True, seed=0)
+@example(N=BLOCK, d=3, alpha=0.5, lagged=True, seed=0)
+@example(N=BLOCK + 1, d=3, alpha=0.5, lagged=True, seed=0)
+@example(N=2 * BLOCK, d=3, alpha=0.5, lagged=True, seed=0)
+@example(N=2 * BLOCK + 1, d=3, alpha=0.5, lagged=True, seed=0)
+@settings(max_examples=80, deadline=None)
+def test_blocked_march_equals_naive(N, d, alpha, lagged, seed):
+    # the scalar-mode CQ-BE step, with or without a lagged source f(u_{n-1})
+    rng = np.random.default_rng(seed)
+    wts = cq_weights(alpha, N)
+    w, s = wts.w, wts.partial_sums()
+    ta = (1.0 / N) ** (-alpha)
+    denom = ta + rng.uniform(1.0, 1e3, d)
+    u0 = rng.standard_normal(d)
+
+    def run(kernel):
+        hist = np.empty((N + 1, d))
+        hist[0] = u0
+
+        def step(n, conv):
+            f_prev = np.sqrt(1.0 + hist[n - 1] ** 2) if lagged else 0.0
+            return (f_prev + ta * (s[n] * hist[0] - conv)) / denom
+
+        return kernel(w, hist, step)
+
+    naive = run(naive_march)
+    blocked = run(march)
+    assert np.max(np.abs(blocked - naive)) <= 1e-13 * max(1.0, np.max(np.abs(naive)))
+
+
+def test_march_rejects_non_contiguous_history():
+    w = cq_weights(0.5, 40).w
+    with pytest.raises(ValueError):
+        march(w, np.zeros((41, 3), order="F"), lambda n, conv: conv)

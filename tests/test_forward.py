@@ -1,16 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
-from fracback.cq import scalar_terminal_factor
-from fracback.fem import GridFunction, assemble, l2_norm
+from fracback.cq import cq_weights, scalar_terminal_factor
+from fracback.fem import GridFunction, NumericalFailure, assemble, l2_norm, load_nonlinear
 from fracback.forward import (
+    Nonlinearity,
     TimeGrid,
     apply_F,
     apply_S,
     get_nonlinearity,
     solve_forward,
 )
-from fracback.grid import build_interval_mesh
+from fracback.grid import build_interval_mesh, build_square_mesh
 from fracback.mlf import mittag_leffler
 
 
@@ -132,6 +136,61 @@ def test_determinism(sys16):
     t2 = solve_forward(sys16, grid, u0, f)
     for s1, s2 in zip(t1.states, t2.states):
         assert np.array_equal(s1.values, s2.values)
+
+
+def naive_solve(sys, grid, u0, f):
+    """Reference stepper: the history sum as a fresh GEMV at every step."""
+    tau_a = grid.tau ** (-grid.alpha)
+    lu = splu((tau_a * sys.M + sys.K).tocsc())
+    wts = cq_weights(grid.alpha, grid.N)
+    w, s = wts.w, wts.partial_sums()
+    hist = np.empty((grid.N + 1, sys.num_dofs))
+    hist[0] = u0.values
+    for n in range(1, grid.N + 1):
+        conv = w[n:0:-1] @ hist[:n] - s[n] * hist[0]
+        rhs = -tau_a * (sys.M @ conv) + load_nonlinear(sys, GridFunction(sys, hist[n - 1]), f)
+        hist[n] = lu.solve(rhs)
+    return hist
+
+
+def test_blocked_solve_matches_naive_stepper(sys16):
+    # N = 70 crosses two block boundaries of the history kernel
+    grid = TimeGrid(T=1.0, N=70, alpha=0.3)
+    u0 = gf(sys16, np.sin(np.pi * sys16.interior_coords()[:, 0]))
+    f = get_nonlinearity("sqrt1pu2")
+    got = np.array([u.values for u in solve_forward(sys16, grid, u0, f).states])
+    ref = naive_solve(sys16, grid, u0, f)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_non_finite_step_raises_past_first_block(sys16):
+    # the source is evaluated once per step, so step 40 is the first non-finite one
+    calls = []
+
+    def blow_up(u):
+        calls.append(1)
+        return np.full_like(u, np.inf) if len(calls) >= 40 else np.sqrt(1.0 + u * u)
+
+    u0 = gf(sys16, np.sin(np.pi * sys16.interior_coords()[:, 0]))
+    with pytest.raises(NumericalFailure, match=r"forward step 40 produced non-finite"):
+        solve_forward(sys16, TimeGrid(T=1.0, N=60, alpha=0.5), u0,
+                      Nonlinearity("blow_up", blow_up))
+
+
+def test_solve_memory_is_the_history_array():
+    sys = assemble(build_square_mesh(48))
+    grid = TimeGrid(T=1.0, N=200, alpha=0.5)
+    u0 = gf(sys, np.ones(sys.num_dofs))
+    f = get_nonlinearity("sqrt1pu2")
+    solve_forward(sys, grid, u0, f, keep_states=False)   # warm the LU workspace
+    tracemalloc.start()
+    try:
+        solve_forward(sys, grid, u0, f, keep_states=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    hist_bytes = 8 * (grid.N + 1) * sys.num_dofs
+    assert peak <= hist_bytes + 2**20
 
 
 def test_temporal_self_convergence_semilinear(sys16):
