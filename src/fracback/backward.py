@@ -2,12 +2,22 @@
 
 The regularized linear problem (gamma I + F^N) u0 = rhs is solved by
 conjugate gradients in the mass inner product, where the discrete
-homogeneous solution map F^N is self-adjoint positive definite.  Each
-operator application is one N-step homogeneous forward solve; on small
-meshes an equivalent dense-spectral surrogate (eigenbasis of (K, M)
-weighted by the scalar CQ symbol) is precomputed once and used instead.
-The semilinear problem is handled by an outer fixed-point iteration that
-alternates a nonlinear forward solve with a regularized linear solve.
+homogeneous solution map F^N is self-adjoint positive definite.  A
+:class:`Propagator` applies F^N in one of three ways:
+
+* "spectral" - the dense eigenbasis of (K, M) weighted by the CQ symbol
+  r_N(lam_h); exact, with an O(d^3) set-up, up to ``dense_threshold`` dofs;
+* "series"   - F^N = r_N(A) for the step resolvent A = (tau^-a M + K)^-1 M,
+  in which r_N is a polynomial of degree N; a Chebyshev series of a few
+  terms, whose dropped tail is below gamma * cg_tol, is applied with the
+  LU factor time stepping already uses (no history);
+* "stepping" - one homogeneous N-step forward solve per application, the
+  reference the other two are tested against.
+
+The symbol and the series coefficients are kept on the system, one per
+time grid.  The semilinear problem is handled by an outer fixed-point
+iteration that alternates a nonlinear forward solve with a regularized
+linear solve.
 """
 
 from __future__ import annotations
@@ -18,9 +28,10 @@ from typing import Optional
 
 import numpy as np
 
-from fracback.cq import scalar_terminal_factor
+from fracback.cq import scalar_terminal_factor, truncate_series
 from fracback.fem import FemSystem, GridFunction, conjugate_gradient
-from fracback.forward import Nonlinearity, TimeGrid, apply_F, apply_S
+from fracback.forward import (Nonlinearity, TimeGrid, apply_F, apply_F_series, apply_S,
+                              terminal_series)
 
 
 class ParameterRangeError(ValueError):
@@ -33,8 +44,16 @@ class BackwardConfig:
 
     ``random_init_seed`` switches the outer iteration from the default
     deterministic zero start to a seeded random start.  ``fast_path``
-    controls the dense-spectral surrogate for F^N: "auto" enables it up
-    to ``dense_threshold`` dofs, "off" forces plain time stepping.
+    chooses how F^N is applied (see :class:`Propagator`):
+
+    * "auto" - dense-spectral up to ``dense_threshold`` dofs; above it the
+      Chebyshev series in the step resolvent, truncated where its dropped
+      tail is below gamma * cg_tol, if that keeps fewer than N terms, and
+      time stepping otherwise (e.g. gamma = 1e-5 with cg_tol = 1e-12 asks
+      for 1e-17, below the rounding of the coefficients);
+    * "on"   - dense-spectral at any size up to ``dense_threshold``, above
+      which the eigensolve refuses;
+    * "off"  - plain time stepping, the slow reference path.
     """
 
     gamma: float
@@ -67,43 +86,67 @@ class ReconstructionResult:
     converged: bool = False
     diverged: bool = False
     forward_solves: int = 0
+    update_ratios: list = field(default_factory=list)
+    propagator: dict = field(default_factory=dict)
 
 
 class Propagator:
     """Terminal homogeneous map v -> F^N v on a fixed (system, grid) pair.
 
-    The spectral form needs the dense eigenpairs of the system, refused
-    above ``dense_threshold`` dofs.
+    ``mode`` is "spectral", "series" or "stepping" (module docstring).
+    "spectral" needs the dense eigenpairs of the system, refused above
+    ``dense_threshold`` dofs.  "series" keeps the shortest Chebyshev head
+    whose dropped tail is below ``series_tol`` and turns into "stepping"
+    when that head has N terms or more, since stepping is then no dearer.
+    ``degree`` is the polynomial degree applied in the step resolvent (N
+    unless "series", where it is also the number of solves per
+    application) and ``bound`` the recorded truncation bound:
+    ||F^N v - applied v||_M <= bound * ||v||_M up to rounding.
     """
 
-    def __init__(self, sys: FemSystem, grid: TimeGrid, spectral: bool,
-                 dense_threshold: int = 4096):
+    def __init__(self, sys: FemSystem, grid: TimeGrid, mode: str, *,
+                 dense_threshold: int = 4096, series_tol: float = 0.0):
         self.sys = sys
         self.grid = grid
-        self.spectral = spectral
-        self.applications = 0
-        if spectral:
-            lam, phi = sys.eigenpairs(dense_threshold)
-            self.symbol = scalar_terminal_factor(grid.alpha, grid.T, grid.N, lam)
-            self.phi = phi
-        else:
-            self.symbol = None
-            self.phi = None
+        self.degree = grid.N
+        self.bound = 0.0
+        if mode == "spectral":
+            lam, self.phi = sys.eigenpairs(dense_threshold)
+            self.symbol = sys.symbols.get(grid)
+            if self.symbol is None:
+                self.symbol = sys.symbols[grid] = scalar_terminal_factor(
+                    grid.alpha, grid.T, grid.N, lam)
+        elif mode == "series":
+            coeffs, bound = truncate_series(terminal_series(sys, grid), series_tol)
+            if len(coeffs) < grid.N:
+                self.coeffs, self.degree, self.bound = coeffs, len(coeffs) - 1, bound
+            else:
+                mode = "stepping"
+        elif mode != "stepping":
+            raise ValueError(f"unknown propagator mode {mode!r}")
+        self.mode = mode
 
     @classmethod
     def for_config(cls, sys: FemSystem, grid: TimeGrid,
                    cfg: BackwardConfig) -> "Propagator":
-        spectral = cfg.fast_path == "on" or (
-            cfg.fast_path == "auto" and sys.num_dofs <= cfg.dense_threshold)
-        return cls(sys, grid, spectral, cfg.dense_threshold)
+        if cfg.fast_path == "on" or (
+                cfg.fast_path == "auto" and sys.num_dofs <= cfg.dense_threshold):
+            return cls(sys, grid, "spectral", dense_threshold=cfg.dense_threshold)
+        if cfg.fast_path == "auto":
+            return cls(sys, grid, "series", series_tol=cfg.gamma * cfg.cg_tol)
+        return cls(sys, grid, "stepping")
+
+    def describe(self) -> dict:
+        return {"mode": self.mode, "degree": self.degree, "bound": self.bound}
 
     def apply_values(self, v: np.ndarray) -> np.ndarray:
-        self.applications += 1
-        if self.spectral:
+        if self.mode == "spectral":
             coeff = self.phi.T @ (self.sys.M @ v)
             return self.phi @ (self.symbol * coeff)
-        out = apply_F(self.sys, self.grid, GridFunction(self.sys, v))
-        return out.values
+        v = GridFunction(self.sys, v)
+        if self.mode == "series":
+            return apply_F_series(self.sys, self.grid, v, self.coeffs).values
+        return apply_F(self.sys, self.grid, v).values
 
 
 def _solve_regularized(prop: Propagator, rhs_values: np.ndarray,
@@ -141,7 +184,9 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
     solve with right-hand side g_obs minus that contribution.  Stops on
     update norm below ``fp_tol``, on the iteration cap, or on the
     divergence heuristic (three consecutive update-norm increases, or a
-    1e6-fold blowup over the first update).
+    1e6-fold blowup over the first update).  The result records the
+    update ratios e_{j+1}/e_j (the observed contraction) and how the
+    propagator applied F^N.
     """
     if g_obs.system is not sys:
         raise ValueError("observation defined on a different system")
@@ -198,10 +243,12 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
             diverged = True
             break
 
+    ratios = [b / a if a > 0.0 else None for a, b in zip(updates, updates[1:])]
     return ReconstructionResult(
         u0_hat=GridFunction(sys, u), outer_iters=outer, history=history,
         cg_iter_counts=cg_counts, converged=converged, diverged=diverged,
-        forward_solves=forward_solves)
+        forward_solves=forward_solves, update_ratios=ratios,
+        propagator=prop.describe())
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,11 @@ def _run_single(spec: ExperimentSpec, *, paper_scale: bool = False,
         "converged": result.converged,
         "diverged": result.diverged,
         "runtime": runtime,
+        # how F^N was applied and the observed contraction; row.json only
+        "F_mode": result.propagator["mode"],
+        "F_degree": result.propagator["degree"],
+        "F_bound": result.propagator["bound"],
+        "update_ratios": result.update_ratios,
     }
     return row, result, coarse
 
@@ -375,9 +380,19 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None, *,
 
     t_start = time.perf_counter()
     if threads > 1:
+        # one task per coarse mesh, so its cells share one system (and one
+        # eigensolve) as on the serial path; results go back to row order
+        groups = {}
+        for i, (cell_spec, _, _) in enumerate(jobs):
+            res = cell_spec.resolved(paper_scale)
+            groups.setdefault((res.dim, res.n), []).append(i)
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            cell_results = list(pool.map(_table_cell, jobs))
+            done = pool.map(_table_cells, [[jobs[i] for i in idx] for idx in groups.values()])
+            cell_results = [None] * len(jobs)
+            for idx, results in zip(groups.values(), done):
+                for i, result in zip(idx, results):
+                    cell_results[i] = result
     else:
         # the coarse systems (and their eigenpairs) are shared across alphas
         systems = {}
@@ -438,6 +453,12 @@ def _table_cell(job, systems=None):
             first_field = result.u0_hat
             first_hist = result.history
     return cell_rows, first_field, first_hist
+
+
+def _table_cells(jobs):
+    """The cells of one coarse mesh, in order, sharing their system."""
+    systems = {}
+    return [_table_cell(job, systems) for job in jobs]
 
 
 def run_iteration_history(spec: ExperimentSpec, *, paper_scale: bool = False):

@@ -101,7 +101,8 @@ def scalar_terminal_factor(alpha: float, T: float, N: int, lam, u0=1.0, source=N
     Runs tau^-a sum w[n-j](u_j - u_0) + lam * u_n = f(u_{n-1}) for each
     entry of ``lam`` simultaneously; with ``source`` None this yields the
     spectral symbol r_N(lam) of the discrete homogeneous solution map
-    (for u0 = 1).  Used as the dense-spectral oracle and fast path.
+    (for u0 = 1).  Used as the dense-spectral oracle and fast path, and
+    sampled by :func:`chebyshev_terminal_series`.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     tau = T / N
@@ -117,3 +118,34 @@ def scalar_terminal_factor(alpha: float, T: float, N: int, lam, u0=1.0, source=N
         return (f_prev + ta * (s[n] * U[0] - conv)) / denom
 
     return march(w, U, step)[N]
+
+
+def chebyshev_terminal_series(alpha: float, T: float, N: int, mu_max: float) -> np.ndarray:
+    """Chebyshev coefficients c_0..c_N of r_N in the step resolvent.
+
+    Every CQ-BE step divides by tau^-a + lam, so r_N(lam) is a polynomial
+    of degree N in mu = 1/(tau^-a + lam).  Its coefficients in the
+    Chebyshev basis of [0, mu_max] follow from interpolation at N+1
+    Chebyshev points, sampled from :func:`scalar_terminal_factor` at
+    lam = 1/mu - tau^-a.  The coefficients decay fast, which is what lets
+    :func:`truncate_series` keep a few of them.
+    """
+    ta = (T / N) ** (-alpha)
+
+    def r_N(x):
+        # x in (-1, 1) maps to mu = mu_max (x + 1) / 2 in (0, mu_max)
+        return scalar_terminal_factor(alpha, T, N=N, lam=2.0 / (mu_max * (x + 1.0)) - ta)
+
+    return np.polynomial.chebyshev.chebinterpolate(r_N, N)
+
+
+def truncate_series(c: np.ndarray, tol: float):
+    """Shortest head c[:m], m >= 1, whose dropped tail sum_{k>=m} |c_k| is
+    below ``tol``.
+
+    Returns ``(c[:m], tail)``; the tail bounds the truncation error of the
+    series in the maximum norm on its interval.  ``tol`` must be positive.
+    """
+    tail = np.append(np.cumsum(np.abs(c)[::-1])[::-1], 0.0)
+    m = max(int(np.argmax(tail < tol)), 1)
+    return c[:m], float(tail[m])

@@ -119,11 +119,13 @@ class FemSystem:
 
     The system also owns the data derived from it, built on first use and
     freed with it: the dense eigenpairs of (K, M) (:meth:`eigenpairs`) and,
-    in ``step_workspaces``, one time-stepping workspace per time grid (the
-    LU factor of tau^-alpha M + K and the CQ weights, filled by
-    :mod:`fracback.forward`).  Nothing outside the system keeps them, so
-    dropping the last reference to a system releases its factors; a
-    pickled copy leaves them out.
+    keyed by time grid, one time-stepping workspace (the LU factor of
+    tau^-alpha M + K and the CQ weights) in ``step_workspaces``, the CQ
+    symbol r_N at the eigenvalues in ``symbols`` and the Chebyshev
+    coefficients of r_N in the step resolvent in ``series``, filled by
+    :mod:`fracback.forward` and :mod:`fracback.backward`.  Nothing outside
+    the system keeps them, so dropping the last reference to a system
+    releases its factors; a pickled copy leaves them out.
     """
 
     def __init__(self, mesh, M, K, m_coupling, interior_ids):
@@ -134,11 +136,14 @@ class FemSystem:
         self.interior_ids = interior_ids
         self._eig = None
         self.step_workspaces = {}
+        self.symbols = {}
+        self.series = {}
 
     def __getstate__(self):
         # a pickled copy (e.g. a result sent back by a worker process)
         # carries the matrices only and rebuilds derived data on use
-        return {**self.__dict__, "_eig": None, "step_workspaces": {}}
+        return {**self.__dict__, "_eig": None, "step_workspaces": {},
+                "symbols": {}, "series": {}}
 
     @property
     def num_dofs(self) -> int:

@@ -4,11 +4,14 @@ Time stepping couples the CQ-BE discrete Caputo derivative with the P1
 stiffness matrix; the nonlinear term is lagged one step (linearized
 scheme), so each step is a single SPD solve with the fixed matrix
 tau^-alpha M + K.  The homogeneous terminal map v -> U^N is the discrete
-solution operator applied matrix-free by one N-step solve.
+solution operator, applied matrix-free either by one N-step solve
+(:func:`apply_F`) or by a short Chebyshev series in the step resolvent
+(:func:`apply_F_series`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -16,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from fracback.cq import cq_weights, march
+from fracback.cq import chebyshev_terminal_series, cq_weights, march
 from fracback.fem import FemSystem, GridFunction, NumericalFailure, load_nonlinear
 
 
@@ -152,6 +155,57 @@ def apply_F(sys: FemSystem, grid: TimeGrid, v: GridFunction) -> GridFunction:
     """Discrete homogeneous solution operator: terminal state with f = 0."""
     traj = solve_forward(sys, grid, v, get_nonlinearity("zero"), keep_states=False)
     return traj.terminal
+
+
+def resolvent_bound(sys: FemSystem, grid: TimeGrid) -> float:
+    """mu_max = 1/(tau^-a + dim pi^2), the top of the spectrum of the step
+    resolvent A = (tau^-a M + K)^-1 M.
+
+    A is M-self-adjoint with eigenvalues 1/(tau^-a + lam_h).  Conforming
+    P1 with the consistent mass bounds the discrete eigenvalues from below
+    by the continuous ones (Rayleigh-Ritz), and lam_1 = dim pi^2 on the
+    unit interval and the unit square, so the spectrum lies in (0, mu_max].
+    """
+    return 1.0 / (grid.tau ** (-grid.alpha) + sys.mesh.dim * math.pi ** 2)
+
+
+def terminal_series(sys: FemSystem, grid: TimeGrid) -> np.ndarray:
+    """All N+1 Chebyshev coefficients of r_N on [0, mu_max], kept on the system."""
+    c = sys.series.get(grid)
+    if c is None:
+        c = sys.series[grid] = chebyshev_terminal_series(
+            grid.alpha, grid.T, grid.N, resolvent_bound(sys, grid))
+    return c
+
+
+def apply_F_series(sys: FemSystem, grid: TimeGrid, v: GridFunction,
+                   coeffs: np.ndarray) -> GridFunction:
+    """F^N v as sum_k c_k T_k(X) v with X = (2/mu_max) A - I.
+
+    F^N = r_N(A) exactly (see :func:`resolvent_bound`).  With ``coeffs``
+    the head c[:m] of :func:`terminal_series`, the difference from
+    :func:`apply_F` in the M-norm is at most the dropped tail times
+    ||v||_M, plus rounding.  Clenshaw's recurrence applies X m-1 times,
+    each one mass product and one solve with the step factor, and keeps
+    three vectors instead of the (N+1) x d history.  A non-finite result
+    raises :class:`NumericalFailure`.
+    """
+    if v.system is not sys:
+        raise ValueError("operand defined on a different system")
+    ws = _workspace(sys, grid)
+    scale = 2.0 / resolvent_bound(sys, grid)
+    x = v.values
+
+    def X(b):
+        return scale * ws.solver.solve(sys.M @ b) - b
+
+    b1, b2 = coeffs[-1] * x, np.zeros_like(x)
+    for ck in coeffs[-2:0:-1]:
+        b1, b2 = ck * x + 2.0 * X(b1) - b2, b1
+    out = coeffs[0] * x + X(b1) - b2 if len(coeffs) > 1 else b1
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailure("series F^N application produced non-finite values")
+    return GridFunction(sys, out)
 
 
 def apply_S(sys: FemSystem, grid: TimeGrid, v: GridFunction,

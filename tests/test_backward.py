@@ -1,11 +1,14 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from fracback import backward
 from fracback.backward import (
     BackwardConfig,
     ParameterRangeError,
+    Propagator,
     convergence_order,
     fixed_point_reconstruct,
     select_parameters,
@@ -71,6 +74,73 @@ def test_dense_threshold_is_honoured(grid):
         solve_linear_regularized(sys, grid, rhs, capped)
     with pytest.raises(UnsupportedSize):
         fixed_point_reconstruct(sys, grid, rhs, get_nonlinearity("zero"), capped)
+
+
+def test_propagator_falls_back_to_stepping(grid):
+    # 15 dofs above a cap of 10: "auto" takes the series when gamma * cg_tol
+    # is reachable with fewer than N terms, stepping when it is not
+    sys = assemble(build_interval_mesh(16))
+    v = np.linspace(-1.0, 1.0, sys.num_dofs)
+    stepped = apply_F(sys, grid, GridFunction(sys, v)).values
+    series = Propagator.for_config(sys, grid, BackwardConfig(gamma=1e-3, dense_threshold=10))
+    assert series.mode == "series" and series.degree < grid.N
+    assert 0.0 < series.bound < 1e-3 * 1e-10
+    for cfg in (BackwardConfig(gamma=1e-5, cg_tol=1e-12, dense_threshold=10),
+                BackwardConfig(gamma=1e-3, fast_path="off")):
+        prop = Propagator.for_config(sys, grid, cfg)
+        assert prop.describe() == {"mode": "stepping", "degree": grid.N, "bound": 0.0}
+        assert np.array_equal(prop.apply_values(v), stepped)
+    assert not sys.symbols and sys._eig is None
+
+
+def test_series_reconstruction_matches_stepping(sys16, grid):
+    f = get_nonlinearity("L_sqrt1pu2:0.5")
+    x = sys16.interior_coords()[:, 0]
+    truth = GridFunction(sys16, np.sin(2 * np.pi * x))
+    g = solve_forward(sys16, grid, truth, f, keep_states=False).terminal
+    runs = {}
+    for fast_path in ("auto", "off"):
+        cfg = BackwardConfig(gamma=1e-3, fast_path=fast_path, dense_threshold=10)
+        runs[fast_path] = fixed_point_reconstruct(sys16, grid, g, f, cfg, truth=truth)
+    series, stepping = runs["auto"], runs["off"]
+    assert series.propagator["mode"] == "series"
+    assert stepping.propagator["mode"] == "stepping"
+    assert series.outer_iters == stepping.outer_iters
+    assert series.cg_iter_counts == stepping.cg_iter_counts
+    e_series = l2_error(sys16, series.u0_hat, truth, relative=True)
+    e_stepping = l2_error(sys16, stepping.u0_hat, truth, relative=True)
+    assert abs(e_series - e_stepping) <= 1e-9 * e_stepping
+
+
+def test_update_ratios_are_recorded(sys16, grid):
+    f = get_nonlinearity("L_sqrt1pu2:0.5")
+    g = apply_F(sys16, grid, GridFunction(sys16, np.ones(sys16.num_dofs)))
+    res = fixed_point_reconstruct(sys16, grid, g, f, BackwardConfig(gamma=1e-4))
+    e = [h["update_norm"] for h in res.history]
+    assert res.update_ratios == [b / a for a, b in zip(e, e[1:])]
+    assert res.propagator == {"mode": "spectral", "degree": grid.N, "bound": 0.0}
+
+
+def test_system_keeps_one_symbol_per_grid(monkeypatch, grid):
+    sys = assemble(build_interval_mesh(12))
+    calls = []
+    symbol = backward.scalar_terminal_factor
+
+    def counted(*args, **kwargs):
+        calls.append(args[:3])
+        return symbol(*args, **kwargs)
+
+    monkeypatch.setattr(backward, "scalar_terminal_factor", counted)
+    rhs = GridFunction(sys, np.ones(sys.num_dofs))
+    for T in (1.0, 1.0, 2.0):
+        solve_linear_regularized(sys, TimeGrid(T=T, N=grid.N, alpha=grid.alpha), rhs,
+                                 BackwardConfig(gamma=1e-3))
+    assert len(calls) == 2 and set(sys.symbols) == {
+        TimeGrid(T=1.0, N=grid.N, alpha=grid.alpha), TimeGrid(T=2.0, N=grid.N, alpha=grid.alpha)}
+    Propagator(sys, grid, "series", series_tol=1e-13)
+    assert set(sys.series) == {grid}
+    copy = pickle.loads(pickle.dumps(sys))
+    assert copy.symbols == {} and copy.series == {} and copy.step_workspaces == {}
 
 
 def test_huge_gamma_limit(sys16, grid):

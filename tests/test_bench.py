@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fracback import bench, forward
 from fracback.bench import (
@@ -271,6 +272,44 @@ def test_run_table_parallel_matches_serial(tmp_path, monkeypatch):
     run_table(spec2, deltas=[2e-3, 1e-3])
     for f in sorted((tmp_path / "serial").glob("*.csv")):
         assert f.read_bytes() == (tmp_path / "par" / f.name).read_bytes()
+
+
+def test_parallel_sweep_shares_coarse_eigensolve(tmp_path, monkeypatch):
+    # one pool task per coarse mesh: the four cells on n=16 make one dense
+    # eigensolve, as on the serial path; forked workers log to a file
+    log = tmp_path / "eigh.log"
+    eigh = scipy.linalg.eigh
+
+    def counted(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write("eigh\n")
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    counts = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FRACBACK_THREADS", threads)
+        log.write_text("")
+        spec = small_spec(output_dir=str(tmp_path / threads), repetitions=2)
+        run_table(spec, deltas=[2e-3, 1e-3], alphas=[0.4, 0.6])
+        counts[threads] = len(log.read_text().splitlines())
+    assert counts == {"1": 1, "2": 1}
+    for f in sorted((tmp_path / "1").glob("*.csv")):
+        assert f.read_bytes() == (tmp_path / "2" / f.name).read_bytes()
+
+
+def test_parallel_sweep_keeps_row_order(tmp_path, monkeypatch):
+    # cells on two coarse meshes (preset: n follows delta) come back in row order
+    spec = small_spec(n=None, N=None, n_ref=None, N_ref=200, preset="paper-ex1",
+                      output_dir=str(tmp_path / "serial"), backward={})
+    serial = run_table(spec, deltas=[1.0 / 80, 1.0 / 160], alphas=[0.4, 0.6])
+    monkeypatch.setenv("FRACBACK_THREADS", "2")
+    spec.output_dir = str(tmp_path / "par")
+    par = run_table(spec, deltas=[1.0 / 80, 1.0 / 160], alphas=[0.4, 0.6])
+    strip = [{k: v for k, v in r.items() if k != "runtime"} for r in serial["rows"]]
+    assert [{k: v for k, v in r.items() if k != "runtime"} for r in par["rows"]] == strip
+    assert len({(r["n"], r["alpha"], r["delta"]) for r in strip}) == 4
+    assert len({r["n"] for r in strip}) == 2
 
 
 def test_paper_scale_warns():

@@ -122,3 +122,20 @@ def test_help_lists_flags(capsys):
                  "--preset", "--mesh-n", "--steps", "--paper-scale", "--mode",
                  "--quiet"):
         assert flag in out
+
+
+def test_backward_row_reports_series_propagator(tmp_path):
+    # 4,225 dofs at n=66, above the dense cap: F^N by an 11-term Chebyshev
+    # series whose dropped tail is below gamma * cg_tol = 1e-13
+    cfg = write_config(tmp_path, dim=2, n=66, N=40, n_ref=66, N_ref=40,
+                       noise=dict(delta=1.0 / 320, seed=7))
+    assert main(["backward", "--config", str(cfg), "--quiet"]) == 0
+    out = tmp_path / "out"
+    row = json.loads((out / "row.json").read_text())
+    assert row["F_mode"] == "series"
+    assert row["F_degree"] + 1 == 11
+    assert 0.0 < row["F_bound"] < 1e-3 * 1e-10
+    assert len(row["update_ratios"]) == row["outer_iters"] - 1
+    assert all(0.0 < q < 1.0 for q in row["update_ratios"])
+    header = (out / "history.csv").read_text().splitlines()[0]
+    assert header == "iter,update_norm,error_vs_truth,cg_iters,cumulative_forward_solves"

@@ -75,6 +75,15 @@ def test_lowest_eigenvalue_2d():
     assert lam[0] == pytest.approx(2 * np.pi ** 2, rel=0.02)
 
 
+@pytest.mark.parametrize("dim, n", [(1, 2), (1, 3), (1, 7), (1, 40), (2, 2), (2, 3), (2, 6), (2, 16)])
+def test_lowest_discrete_eigenvalue_bounds_continuous(dim, n):
+    # Rayleigh-Ritz on conforming P1 with the consistent mass: lam_1h >= lam_1
+    # = dim pi^2; the series F^N relies on it for its interval
+    sys = assemble(build_interval_mesh(n) if dim == 1 else build_square_mesh(n))
+    lam, _ = sys.eigenpairs()
+    assert lam[0] >= dim * np.pi ** 2
+
+
 def test_eigen_threshold():
     sys = assemble(build_interval_mesh(64))
     with pytest.raises(UnsupportedSize):

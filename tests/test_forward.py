@@ -2,17 +2,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
-from fracback.cq import cq_weights, scalar_terminal_factor
+from fracback.cq import cq_weights, scalar_terminal_factor, truncate_series
 from fracback.fem import GridFunction, NumericalFailure, assemble, l2_norm, load_nonlinear
 from fracback.forward import (
     Nonlinearity,
     TimeGrid,
     apply_F,
+    apply_F_series,
     apply_S,
     get_nonlinearity,
+    resolvent_bound,
     solve_forward,
+    terminal_series,
 )
 from fracback.grid import build_interval_mesh, build_square_mesh
 from fracback.mlf import mittag_leffler
@@ -262,3 +266,58 @@ def test_trajectory_dump(tmp_path, sys16):
     first = (tmp_path / "state_00000.csv").read_text().splitlines()
     assert first[0] == "x,value"
     assert len(first) == sys16.mesh.num_nodes + 1
+
+
+_SERIES_SYSTEMS = {}
+
+
+def _series_system(dim, n):
+    if (dim, n) not in _SERIES_SYSTEMS:
+        mesh = build_interval_mesh(n) if dim == 1 else build_square_mesh(n)
+        _SERIES_SYSTEMS[dim, n] = assemble(mesh)
+    return _SERIES_SYSTEMS[dim, n]
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(0.05, 0.95), N=st.integers(2, 120), T=st.sampled_from([1.0, 10.0]),
+       mesh=st.sampled_from([(1, 8), (1, 33), (2, 5), (2, 12)]),
+       tol=st.sampled_from([1e-4, 1e-8, 1e-13]), seed=st.integers(0, 2 ** 16))
+def test_series_matches_stepping_within_recorded_bound(alpha, N, T, mesh, tol, seed):
+    # F^N = r_N(A) with spec(A) in (0, mu_max], so a Chebyshev head with
+    # dropped tail b misses apply_F by at most b ||v||_M, plus rounding
+    sys = _series_system(*mesh)
+    grid = TimeGrid(T=T, N=N, alpha=alpha)
+    coeffs, bound = truncate_series(terminal_series(sys, grid), tol)
+    assert bound < tol
+    v = np.random.default_rng(seed).standard_normal(sys.num_dofs)
+    got = apply_F_series(sys, grid, gf(sys, v), coeffs).values
+    ref = apply_F(sys, grid, gf(sys, v)).values
+    err = l2_norm(sys, gf(sys, got - ref))
+    assert err <= (bound + 1e-13) * l2_norm(sys, gf(sys, v))
+
+
+def test_series_matches_dense_spectral(sys16):
+    # against the exact symbol in the eigenbasis, as criterion 5 does for
+    # stepping; every coefficient kept
+    grid = TimeGrid(T=1.0, N=64, alpha=0.3)
+    lam, phi = sys16.eigenpairs()
+    assert 1.0 / (grid.tau ** -grid.alpha + lam.min()) <= resolvent_bound(sys16, grid)
+    v = np.sin(3.0 * np.arange(sys16.num_dofs))
+    got = apply_F_series(sys16, grid, gf(sys16, v), terminal_series(sys16, grid)).values
+    ref = phi @ (scalar_terminal_factor(0.3, 1.0, 64, lam) * (phi.T @ (sys16.M @ v)))
+    assert l2_norm(sys16, gf(sys16, got - ref)) <= 1e-10 * l2_norm(sys16, gf(sys16, v))
+
+
+def test_series_keeps_one_coefficient_set_per_grid(sys16):
+    grid = TimeGrid(T=1.0, N=30, alpha=0.6)
+    first = terminal_series(sys16, grid)
+    assert terminal_series(sys16, TimeGrid(T=1.0, N=30, alpha=0.6)) is first
+    assert first.shape == (31,)
+
+
+def test_series_non_finite_raises(sys16):
+    grid = TimeGrid(T=1.0, N=30, alpha=0.6)
+    v = np.zeros(sys16.num_dofs)
+    v[3] = np.inf
+    with pytest.raises(NumericalFailure, match="series"):
+        apply_F_series(sys16, grid, gf(sys16, v), terminal_series(sys16, grid)[:5])
