@@ -96,8 +96,9 @@ class Propagator:
     ``mode`` is "spectral", "series" or "stepping" (module docstring).
     "spectral" needs the dense eigenpairs of the system, refused above
     ``dense_threshold`` dofs.  "series" keeps the shortest Chebyshev head
-    whose dropped tail is below ``series_tol`` and turns into "stepping"
-    when that head has N terms or more, since stepping is then no dearer.
+    whose dropped tail is below ``series_tol`` (required there) and turns
+    into "stepping" when that head has N terms or more, since stepping is
+    then no dearer.
     ``degree`` is the polynomial degree applied in the step resolvent (N
     unless "series", where it is also the number of solves per
     application) and ``bound`` the recorded truncation bound:
@@ -105,7 +106,7 @@ class Propagator:
     """
 
     def __init__(self, sys: FemSystem, grid: TimeGrid, mode: str, *,
-                 dense_threshold: int = 4096, series_tol: float = 0.0):
+                 dense_threshold: int = 4096, series_tol: Optional[float] = None):
         self.sys = sys
         self.grid = grid
         self.degree = grid.N
@@ -117,6 +118,8 @@ class Propagator:
                 self.symbol = sys.symbols[grid] = scalar_terminal_factor(
                     grid.alpha, grid.T, grid.N, lam)
         elif mode == "series":
+            if series_tol is None:
+                raise ValueError('mode "series" needs series_tol')
             coeffs, bound = truncate_series(terminal_series(sys, grid), series_tol)
             if len(coeffs) < grid.N:
                 self.coeffs, self.degree, self.bound = coeffs, len(coeffs) - 1, bound

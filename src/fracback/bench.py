@@ -380,18 +380,24 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None, *,
 
     t_start = time.perf_counter()
     if threads > 1:
-        # one task per coarse mesh, so its cells share one system (and one
-        # eigensolve) as on the serial path; results go back to row order
-        groups = {}
-        for i, (cell_spec, _, _) in enumerate(jobs):
-            res = cell_spec.resolved(paper_scale)
-            groups.setdefault((res.dim, res.n), []).append(i)
+        # cells ordered by coarse mesh and cut into one contiguous chunk per
+        # worker: a chunk's cells share a system (and its eigensolve) per
+        # mesh, so a mesh is factored at most once per worker while every
+        # worker keeps reference solves to run; results go back to row order
+        def mesh(i):
+            res = jobs[i][0].resolved(paper_scale)
+            return res.dim, res.n
+
+        order = sorted(range(len(jobs)), key=mesh)
+        chunks = [order[k * len(order) // threads:(k + 1) * len(order) // threads]
+                  for k in range(threads)]
+        chunks = [c for c in chunks if c]
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            done = pool.map(_table_cells, [[jobs[i] for i in idx] for idx in groups.values()])
+            done = pool.map(_table_cells, [[jobs[i] for i in c] for c in chunks])
             cell_results = [None] * len(jobs)
-            for idx, results in zip(groups.values(), done):
-                for i, result in zip(idx, results):
+            for chunk, results in zip(chunks, done):
+                for i, result in zip(chunk, results):
                     cell_results[i] = result
     else:
         # the coarse systems (and their eigenpairs) are shared across alphas
@@ -456,7 +462,7 @@ def _table_cell(job, systems=None):
 
 
 def _table_cells(jobs):
-    """The cells of one coarse mesh, in order, sharing their system."""
+    """A worker's chunk of cells, in order, sharing one system per mesh."""
     systems = {}
     return [_table_cell(job, systems) for job in jobs]
 

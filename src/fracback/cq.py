@@ -144,8 +144,10 @@ def truncate_series(c: np.ndarray, tol: float):
     below ``tol``.
 
     Returns ``(c[:m], tail)``; the tail bounds the truncation error of the
-    series in the maximum norm on its interval.  ``tol`` must be positive.
+    series in the maximum norm on its interval.  A ``tol`` that no tail
+    falls below (e.g. zero) keeps every coefficient, with tail 0.
     """
     tail = np.append(np.cumsum(np.abs(c)[::-1])[::-1], 0.0)
-    m = max(int(np.argmax(tail < tol)), 1)
+    below = np.flatnonzero(tail < tol)
+    m = max(int(below[0]), 1) if below.size else len(c)
     return c[:m], float(tail[m])

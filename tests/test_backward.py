@@ -90,6 +90,10 @@ def test_propagator_falls_back_to_stepping(grid):
         prop = Propagator.for_config(sys, grid, cfg)
         assert prop.describe() == {"mode": "stepping", "degree": grid.N, "bound": 0.0}
         assert np.array_equal(prop.apply_values(v), stepped)
+    # a tolerance no tail falls below keeps all N + 1 terms: stepping
+    assert Propagator(sys, grid, "series", series_tol=0.0).mode == "stepping"
+    with pytest.raises(ValueError, match="series_tol"):
+        Propagator(sys, grid, "series")
     assert not sys.symbols and sys._eig is None
 
 
@@ -138,7 +142,10 @@ def test_system_keeps_one_symbol_per_grid(monkeypatch, grid):
     assert len(calls) == 2 and set(sys.symbols) == {
         TimeGrid(T=1.0, N=grid.N, alpha=grid.alpha), TimeGrid(T=2.0, N=grid.N, alpha=grid.alpha)}
     Propagator(sys, grid, "series", series_tol=1e-13)
-    assert set(sys.series) == {grid}
+    assert set(sys.series) == {grid} and sys.series[grid].shape == (grid.N + 1,)
+    coeffs = sys.series[grid]
+    Propagator(sys, TimeGrid(T=grid.T, N=grid.N, alpha=grid.alpha), "series", series_tol=1e-8)
+    assert sys.series[grid] is coeffs
     copy = pickle.loads(pickle.dumps(sys))
     assert copy.symbols == {} and copy.series == {} and copy.step_workspaces == {}
 

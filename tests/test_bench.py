@@ -275,8 +275,9 @@ def test_run_table_parallel_matches_serial(tmp_path, monkeypatch):
 
 
 def test_parallel_sweep_shares_coarse_eigensolve(tmp_path, monkeypatch):
-    # one pool task per coarse mesh: the four cells on n=16 make one dense
-    # eigensolve, as on the serial path; forked workers log to a file
+    # the four cells on n=16 go to two workers in two chunks, each sharing
+    # one system: two dense eigensolves, not one per cell (four); serially
+    # there is one; forked workers log to a file
     log = tmp_path / "eigh.log"
     eigh = scipy.linalg.eigh
 
@@ -293,7 +294,7 @@ def test_parallel_sweep_shares_coarse_eigensolve(tmp_path, monkeypatch):
         spec = small_spec(output_dir=str(tmp_path / threads), repetitions=2)
         run_table(spec, deltas=[2e-3, 1e-3], alphas=[0.4, 0.6])
         counts[threads] = len(log.read_text().splitlines())
-    assert counts == {"1": 1, "2": 1}
+    assert counts == {"1": 1, "2": 2}
     for f in sorted((tmp_path / "1").glob("*.csv")):
         assert f.read_bytes() == (tmp_path / "2" / f.name).read_bytes()
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln
 
-from fracback.cq import BLOCK, caputo_apply, cq_weights, march, scalar_terminal_factor
+from fracback.cq import (BLOCK, caputo_apply, cq_weights, march, scalar_terminal_factor,
+                         truncate_series)
 from fracback.fem import GridFunction, assemble
 from fracback.grid import build_interval_mesh
 
@@ -172,3 +173,16 @@ def test_march_rejects_non_contiguous_history():
     w = cq_weights(0.5, 40).w
     with pytest.raises(ValueError):
         march(w, np.zeros((41, 3), order="F"), lambda n, conv: conv)
+
+
+def test_truncate_series_keeps_shortest_head():
+    c = np.array([1.0, -0.5, 0.25, -1e-3, 1e-6])
+    head, tail = truncate_series(c, 1e-2)
+    assert np.array_equal(head, c[:3]) and tail == pytest.approx(1e-3 + 1e-6)
+    # a tolerance no tail falls below keeps every coefficient
+    for tol in (0.0, -1.0):
+        head, tail = truncate_series(c, tol)
+        assert np.array_equal(head, c) and tail == 0.0
+    # at least one term, even when the whole series is below tol
+    head, tail = truncate_series(c, 10.0)
+    assert np.array_equal(head, c[:1])

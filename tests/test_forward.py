@@ -308,13 +308,6 @@ def test_series_matches_dense_spectral(sys16):
     assert l2_norm(sys16, gf(sys16, got - ref)) <= 1e-10 * l2_norm(sys16, gf(sys16, v))
 
 
-def test_series_keeps_one_coefficient_set_per_grid(sys16):
-    grid = TimeGrid(T=1.0, N=30, alpha=0.6)
-    first = terminal_series(sys16, grid)
-    assert terminal_series(sys16, TimeGrid(T=1.0, N=30, alpha=0.6)) is first
-    assert first.shape == (31,)
-
-
 def test_series_non_finite_raises(sys16):
     grid = TimeGrid(T=1.0, N=30, alpha=0.6)
     v = np.zeros(sys16.num_dofs)
