@@ -12,6 +12,18 @@ Taylor cancellation ~e^s and the asymptotic truncation error ~e^-s):
             cached Gamma table per (alpha, beta); amortized cost is a
             few hundred mpf multiply-adds per evaluation.
 
+Everything in the two float64 regimes that depends on the orders only
+is tabulated once per (alpha, beta) in a read-only ``_Coefficients``:
+for Taylor, ln Gamma(alpha k + beta) for k <= 700 and 1/Gamma(beta); for
+the asymptotic series, over k <= 1600 with y = beta - alpha k, the
+ln Gamma values of its envelope and of its terms (ln Gamma(1 - y) by
+reflection below y = 1/2 and y = 0 respectively), ln|sin(pi y)| and the
+term signs, about 57 kB in all.  A call then forms only k ln|x|, the
+envelope's minimum and the exponentials it sums.  These tables, like the
+multiprecision Gamma tables, are kept for the 256 most recently used
+order pairs (``functools.lru_cache``).  ``mpmath`` is imported only when
+the multiprecision series runs.
+
 alpha = 1 and (alpha, beta) = (2, 1) reduce to exp and cos exactly;
 orders alpha in (1, 2) outside the Taylor region use the multiprecision
 series with precision adapted to s (rare, correctness over speed).
@@ -23,7 +35,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 from scipy.special import gammaln, rgamma
 
@@ -34,6 +45,8 @@ _S_TAYLOR = 5.0
 _S_ASYM = 34.0
 _TAYLOR_TERMS = 700
 _ASYM_TERMS = 1600
+_LN_PI = float(np.log(np.pi))
+_LN_ASYM_GAIN = float(13.0 * np.log(10.0))
 
 
 @dataclass(frozen=True)
@@ -49,19 +62,60 @@ class MlParams:
         if self.beta <= 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
 
-    def evaluate(self, x: float) -> float:
-        return mittag_leffler(self.alpha, self.beta, x)
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+_TAYLOR_K = _frozen(np.arange(1, _TAYLOR_TERMS + 1, dtype=np.float64))
+_TAYLOR_EVEN = _frozen(_TAYLOR_K % 2 == 0)
+_ASYM_K = _frozen(np.arange(1, _ASYM_TERMS + 1, dtype=np.float64))
+
+
+class _Coefficients:
+    """The x-independent parts of both float64 series at one (alpha, beta).
+
+    Shared by every caller through ``_coefficients``, so the arrays are
+    read-only.
+    """
+
+    def __init__(self, alpha: float, beta: float):
+        self.rgamma_beta = float(rgamma(beta))
+        # Taylor: x^k / Gamma(alpha k + beta), k = 1..700
+        self.taylor_gammaln = _frozen(gammaln(alpha * _TAYLOR_K + beta))
+        # asymptotic: x^-k / Gamma(y), y = beta - alpha k, k = 1..1600.  y
+        # falls with k, so the terms taking ln Gamma(y) directly (not by
+        # reflection) are a leading run, of the length counted below.
+        y = beta - alpha * _ASYM_K
+        pos = y > 0
+        with np.errstate(divide="ignore"):
+            sin_y = np.sin(np.pi * y)
+            self.ln_sin = _frozen(np.log(np.abs(sin_y)))
+        # envelope: ln Gamma(y) for y > 0.5, reflected ln Gamma(1 - y) after
+        self.n_env_direct = int(np.count_nonzero(y > 0.5))
+        self.env_gammaln = _frozen(gammaln(np.where(y > 0.5, y, 1.0 - y)))
+        # terms: ln Gamma(y) for y > 0, reflected ln Gamma(1 - y) after
+        self.n_term_direct = int(np.count_nonzero(pos))
+        self.term_gammaln = _frozen(gammaln(np.where(pos, y, 1.0 - y)))
+        # alternating sign times the sign of 1/Gamma(y)
+        self.sign = _frozen(np.where(_ASYM_K % 2 == 1, 1.0, -1.0)
+                            * np.where(pos, 1.0, np.sign(sin_y)))
+
+
+@functools.lru_cache(maxsize=256)
+def _coefficients(alpha: float, beta: float) -> _Coefficients:
+    return _Coefficients(alpha, beta)
 
 
 def _taylor_f64(alpha, beta, x):
     """Alternating series sum x^k / Gamma(alpha k + beta), summed exactly
-    rounded by ``math.fsum``."""
-    X = -x
-    k = np.arange(1, _TAYLOR_TERMS + 1, dtype=np.float64)
+    rounded by ``math.fsum`` (terms that underflowed to 0 are left out)."""
+    c = _coefficients(alpha, beta)
     with np.errstate(under="ignore"):
-        mags = np.exp(k * np.log(X) - gammaln(alpha * k + beta))
-    terms = np.where(k % 2 == 0, mags, -mags)
-    return math.fsum([float(rgamma(beta)), *terms.tolist()])
+        mags = np.exp(_TAYLOR_K * np.log(-x) - c.taylor_gammaln)
+    terms = np.where(_TAYLOR_EVEN, mags, -mags)[mags != 0.0]
+    return math.fsum([c.rgamma_beta, *terms.tolist()])
 
 
 def _asymptotic(alpha, beta, x):
@@ -74,31 +128,20 @@ def _asymptotic(alpha, beta, x):
     ~1e-13 relative accuracy (tiny alpha); the caller then falls back to
     the multiprecision series.
     """
-    X = -x
-    lnX = np.log(X)
-    k = np.arange(1, _ASYM_TERMS + 1, dtype=np.float64)
-    y = beta - alpha * k
-    ln_env = np.where(
-        y > 0.5,
-        -k * lnX - gammaln(np.maximum(y, 0.5)),
-        -k * lnX + gammaln(np.maximum(1.0 - y, 0.5)) - np.log(np.pi),
-    )
+    c = _coefficients(alpha, beta)
+    k_lnX = -_ASYM_K * np.log(-x)
+    h = c.n_env_direct
+    ln_env = np.concatenate((k_lnX[:h] - c.env_gammaln[:h],
+                             k_lnX[h:] + c.env_gammaln[h:] - _LN_PI))
     kstar = int(np.argmin(ln_env)) + 1
-    if ln_env[kstar - 1] > ln_env[0] - 13.0 * np.log(10.0):
+    if ln_env[kstar - 1] > ln_env[0] - _LN_ASYM_GAIN:
         return None
-    kk = k[:kstar]
-    yy = y[:kstar]
-    pos = yy > 0
-    with np.errstate(under="ignore", divide="ignore"):
-        sin_y = np.sin(np.pi * yy)
-        ln_mag = np.where(
-            pos,
-            -kk * lnX - gammaln(np.where(pos, yy, 1.0)),
-            -kk * lnX + np.log(np.abs(sin_y)) + gammaln(np.where(pos, 1.0, 1.0 - yy))
-            - np.log(np.pi),
-        )
-        sign = np.where(pos, 1.0, np.sign(sin_y))
-        terms = np.where(kk % 2 == 1, 1.0, -1.0) * sign * np.exp(ln_mag)
+    p = min(c.n_term_direct, kstar)
+    ln_mag = np.concatenate((
+        k_lnX[:p] - c.term_gammaln[:p],
+        k_lnX[p:kstar] + c.ln_sin[p:kstar] + c.term_gammaln[p:kstar] - _LN_PI))
+    with np.errstate(under="ignore"):
+        terms = c.sign[:kstar] * np.exp(ln_mag)
     return float(np.sum(terms))
 
 
@@ -115,6 +158,8 @@ def _taylor_mp(alpha, beta, x, s):
     crossover band (s < 34) a single fixed bucket is used so the Gamma
     values are shared across evaluations at the same (alpha, beta).
     """
+    import mpmath
+
     dps = 50 if s < 40.0 else 30 + int(0.55 * s)
     table = _gamma_table(alpha, beta, dps)
     with mpmath.workdps(dps):

@@ -5,11 +5,13 @@ import pytest
 from scipy.special import erfcx, gamma as gamma_fn, gammaln, rgamma
 
 from fracback.fem import assemble, l2_norm
+from fracback import mlf
 from fracback.grid import build_interval_mesh, build_square_mesh
 from fracback.mlf import (
     MlParams,
     SpectralField,
     _asymptotic,
+    _coefficients,
     _taylor_f64,
     _taylor_mp,
     mittag_leffler,
@@ -120,6 +122,93 @@ def test_taylor_sum_matches_kahan_reference():
                 x = -(s ** alpha)
                 ref, magnitude = _taylor_kahan(alpha, beta, x)
                 assert abs(_taylor_f64(alpha, beta, x) - ref) <= 4.0 * u * magnitude
+
+
+def _taylor_f64_per_call(alpha, beta, x):
+    """The float64 Taylor regime as it was before its tables were cached:
+    every call forms every coefficient."""
+    X = -x
+    k = np.arange(1, 700 + 1, dtype=np.float64)
+    with np.errstate(under="ignore"):
+        mags = np.exp(k * np.log(X) - gammaln(alpha * k + beta))
+    terms = np.where(k % 2 == 0, mags, -mags)
+    return math.fsum([float(rgamma(beta)), *terms.tolist()])
+
+
+def _asymptotic_per_call(alpha, beta, x):
+    """The asymptotic regime as it was before its tables were cached."""
+    X = -x
+    lnX = np.log(X)
+    k = np.arange(1, 1600 + 1, dtype=np.float64)
+    y = beta - alpha * k
+    ln_env = np.where(
+        y > 0.5,
+        -k * lnX - gammaln(np.maximum(y, 0.5)),
+        -k * lnX + gammaln(np.maximum(1.0 - y, 0.5)) - np.log(np.pi),
+    )
+    kstar = int(np.argmin(ln_env)) + 1
+    if ln_env[kstar - 1] > ln_env[0] - 13.0 * np.log(10.0):
+        return None
+    kk = k[:kstar]
+    yy = y[:kstar]
+    pos = yy > 0
+    with np.errstate(under="ignore", divide="ignore"):
+        sin_y = np.sin(np.pi * yy)
+        ln_mag = np.where(
+            pos,
+            -kk * lnX - gammaln(np.where(pos, yy, 1.0)),
+            -kk * lnX + np.log(np.abs(sin_y)) + gammaln(np.where(pos, 1.0, 1.0 - yy))
+            - np.log(np.pi),
+        )
+        sign = np.where(pos, 1.0, np.sign(sin_y))
+        terms = np.where(kk % 2 == 1, 1.0, -1.0) * sign * np.exp(ln_mag)
+    return float(np.sum(terms))
+
+
+def test_tabulated_regimes_match_per_call_reference(monkeypatch):
+    # same expressions in the same order, so equal to the last bit, on both
+    # sides of the Taylor (s = 5) and asymptotic (s = 34) gauges; alpha =
+    # 0.005 and 0.01 add orders whose asymptotic series gives up (None)
+    taylor_s = (1e-3, 0.5, 2.0, 4.9, 5.0, 5.1, 6.0)
+    asym_s = (20.0, 33.0, 34.0, 35.0, 60.0, 1e3, 1e6)
+    fallbacks = 0
+    for alpha in (0.005, 0.01, *np.linspace(0.02, 0.98, 50)):
+        for beta in (1.0, alpha):
+            for s in taylor_s:
+                x = -(s ** alpha)
+                assert _taylor_f64(alpha, beta, x) == _taylor_f64_per_call(alpha, beta, x)
+            for s in asym_s:
+                x = -(s ** alpha)
+                want = _asymptotic_per_call(alpha, beta, x)
+                assert _asymptotic(alpha, beta, x) == want
+                fallbacks += s >= 34.0 and want is None
+    assert fallbacks > 0
+    # where it gives up past s = 34, mittag_leffler takes the multiprecision
+    # series (stubbed: at this order it sums ~10^4 terms, about a second)
+    x = -(34.0 ** 0.01)
+    assert _asymptotic(0.01, 1.0, x) is None
+    monkeypatch.setattr(mlf, "_taylor_mp", lambda alpha, beta, x, s: ("mp", alpha, beta, x))
+    assert mittag_leffler(0.01, 1.0, x) == ("mp", 0.01, 1.0, x)
+
+
+def test_coefficient_tables_are_independent_and_read_only():
+    # Taylor and asymptotic arguments, three orders beta per alpha
+    cases = [(alpha, beta, -(s ** alpha))
+             for alpha, gauges in ((0.1, (0.3, 4.0, 40.0, 1e4)), (0.5, (4.0, 1e4)),
+                                   (0.9, (0.3, 40.0)), (1.5, (0.3, 4.0)))
+             for beta in (1.0, alpha, 2.0)
+             for s in gauges]
+    _coefficients.cache_clear()
+    forwards = [mittag_leffler(*case) for case in cases]
+    _coefficients.cache_clear()
+    backwards = [mittag_leffler(*case) for case in reversed(cases)]
+    assert forwards == backwards[::-1]
+    tables = vars(_coefficients(0.5, 1.0))
+    arrays = [a for a in tables.values() if isinstance(a, np.ndarray)]
+    assert len(arrays) >= 5
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_multiprecision_reference_band():
