@@ -206,6 +206,7 @@ def test_coefficient_tables_are_independent_and_read_only():
     tables = vars(_coefficients(0.5, 1.0))
     arrays = [a for a in tables.values() if isinstance(a, np.ndarray)]
     assert len(arrays) >= 5
+    arrays += [mlf._TAYLOR_K, mlf._TAYLOR_EVEN, mlf._ASYM_K]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 1.0
