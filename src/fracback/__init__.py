@@ -9,7 +9,7 @@ Mittag-Leffler oracle for verification.
 
 from fracback.grid import Mesh, build_interval_mesh, build_square_mesh
 from fracback.fem import FemSystem, GridFunction, assemble, l2_project, l2_norm, l2_error, neg_norm
-from fracback.cq import CqWeights, cq_weights, caputo_apply, scalar_terminal_factor
+from fracback.cq import CqWeights, cq_weights, scalar_terminal_factor
 from fracback.mlf import (
     MlParams,
     SpectralField,
@@ -44,7 +44,6 @@ __all__ = [
     "neg_norm",
     "CqWeights",
     "cq_weights",
-    "caputo_apply",
     "scalar_terminal_factor",
     "MlParams",
     "SpectralField",

@@ -6,7 +6,8 @@ homogeneous solution map F^N is self-adjoint positive definite.  A
 :class:`Propagator` applies F^N in one of three ways:
 
 * "spectral" - the dense eigenbasis of (K, M) weighted by the CQ symbol
-  r_N(lam_h); exact, with an O(d^3) set-up, up to ``dense_threshold`` dofs;
+  r_N(lam_h); exact, with an O(d^3) set-up, up to
+  :data:`fracback.fem.DENSE_CAP` dofs;
 * "series"   - F^N = r_N(A) for the step resolvent A = (tau^-a M + K)^-1 M,
   in which r_N is a polynomial of degree N; a Chebyshev series of a few
   terms, whose dropped tail is below gamma * cg_tol, is applied with the
@@ -28,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from fracback import fem
 from fracback.cq import scalar_terminal_factor, truncate_series
 from fracback.fem import FemSystem, GridFunction, conjugate_gradient
 from fracback.forward import (Nonlinearity, TimeGrid, apply_F, apply_F_series, apply_S,
@@ -46,13 +48,11 @@ class BackwardConfig:
     deterministic zero start to a seeded random start.  ``fast_path``
     chooses how F^N is applied (see :class:`Propagator`):
 
-    * "auto" - dense-spectral up to ``dense_threshold`` dofs; above it the
-      Chebyshev series in the step resolvent, truncated where its dropped
-      tail is below gamma * cg_tol, if that keeps fewer than N terms, and
-      time stepping otherwise (e.g. gamma = 1e-5 with cg_tol = 1e-12 asks
-      for 1e-17, below the rounding of the coefficients);
-    * "on"   - dense-spectral at any size up to ``dense_threshold``, above
-      which the eigensolve refuses;
+    * "auto" - dense-spectral up to :data:`fracback.fem.DENSE_CAP` dofs;
+      above it the Chebyshev series in the step resolvent, truncated where
+      its dropped tail is below gamma * cg_tol, if that keeps fewer than N
+      terms, and time stepping otherwise (e.g. gamma = 1e-5 with cg_tol =
+      1e-12 asks for 1e-17, below the rounding of the coefficients);
     * "off"  - plain time stepping, the slow reference path.
     """
 
@@ -61,18 +61,16 @@ class BackwardConfig:
     fp_max: int = 100
     cg_tol: float = 1e-10
     cg_max: int = 300
-    record_history: bool = True
     random_init_seed: Optional[int] = None
     fast_path: str = "auto"
-    dense_threshold: int = 4096
 
     def __post_init__(self):
         if self.gamma <= 0.0:
             raise ValueError(f"regularization parameter must be positive, got {self.gamma}")
         if self.fp_tol <= 0.0 or self.cg_tol <= 0.0:
             raise ValueError("tolerances must be positive")
-        if self.fast_path not in ("auto", "on", "off"):
-            raise ValueError(f"fast_path must be auto/on/off, got {self.fast_path!r}")
+        if self.fast_path not in ("auto", "off"):
+            raise ValueError(f"fast_path must be auto/off, got {self.fast_path!r}")
 
 
 @dataclass
@@ -95,10 +93,10 @@ class Propagator:
 
     ``mode`` is "spectral", "series" or "stepping" (module docstring).
     "spectral" needs the dense eigenpairs of the system, refused above
-    ``dense_threshold`` dofs.  "series" keeps the shortest Chebyshev head
-    whose dropped tail is below ``series_tol`` (required there) and turns
-    into "stepping" when that head has N terms or more, since stepping is
-    then no dearer.
+    :data:`fracback.fem.DENSE_CAP` dofs.  "series" keeps the shortest
+    Chebyshev head whose dropped tail is below ``series_tol`` (required
+    there) and turns into "stepping" when that head has N terms or more,
+    since stepping is then no dearer.  :meth:`for_config` picks the mode.
     ``degree`` is the polynomial degree applied in the step resolvent (N
     unless "series", where it is also the number of solves per
     application) and ``bound`` the recorded truncation bound:
@@ -106,17 +104,15 @@ class Propagator:
     """
 
     def __init__(self, sys: FemSystem, grid: TimeGrid, mode: str, *,
-                 dense_threshold: int = 4096, series_tol: Optional[float] = None):
+                 series_tol: Optional[float] = None):
         self.sys = sys
         self.grid = grid
         self.degree = grid.N
         self.bound = 0.0
         if mode == "spectral":
-            lam, self.phi = sys.eigenpairs(dense_threshold)
-            self.symbol = sys.symbols.get(grid)
-            if self.symbol is None:
-                self.symbol = sys.symbols[grid] = scalar_terminal_factor(
-                    grid.alpha, grid.T, grid.N, lam)
+            lam, self.phi = sys.eigenpairs()
+            self.symbol = sys.derived(("symbol", grid), lambda: scalar_terminal_factor(
+                grid.alpha, grid.T, grid.N, lam))
         elif mode == "series":
             if series_tol is None:
                 raise ValueError('mode "series" needs series_tol')
@@ -132,12 +128,11 @@ class Propagator:
     @classmethod
     def for_config(cls, sys: FemSystem, grid: TimeGrid,
                    cfg: BackwardConfig) -> "Propagator":
-        if cfg.fast_path == "on" or (
-                cfg.fast_path == "auto" and sys.num_dofs <= cfg.dense_threshold):
-            return cls(sys, grid, "spectral", dense_threshold=cfg.dense_threshold)
-        if cfg.fast_path == "auto":
-            return cls(sys, grid, "series", series_tol=cfg.gamma * cfg.cg_tol)
-        return cls(sys, grid, "stepping")
+        if cfg.fast_path == "off":
+            return cls(sys, grid, "stepping")
+        if sys.num_dofs <= fem.DENSE_CAP:
+            return cls(sys, grid, "spectral")
+        return cls(sys, grid, "series", series_tol=cfg.gamma * cfg.cg_tol)
 
     def describe(self) -> dict:
         return {"mode": self.mode, "degree": self.degree, "bound": self.bound}
@@ -229,11 +224,10 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
         e_j = m_norm(u_next - u)
         updates.append(e_j)
         cg_counts.append(cg_it)
-        if cfg.record_history:
-            err = (m_norm(u_next - truth.values) / truth_norm
-                   if truth is not None and truth_norm else None)
-            history.append({"iter": j, "update_norm": e_j, "error_vs_truth": err,
-                            "cg_iters": cg_it, "forward_solves": forward_solves})
+        err = (m_norm(u_next - truth.values) / truth_norm
+               if truth is not None and truth_norm else None)
+        history.append({"iter": j, "update_norm": e_j, "error_vs_truth": err,
+                        "cg_iters": cg_it, "forward_solves": forward_solves})
         u = u_next
         if e_j < cfg.fp_tol:
             converged = True

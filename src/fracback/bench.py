@@ -19,7 +19,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 from typing import Optional
 
@@ -130,34 +130,19 @@ class ExperimentSpec:
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
 
-    _FIELDS = ("alpha", "T", "nonlinearity", "initial_data", "noise", "dim",
-               "n", "N", "n_ref", "N_ref", "preset", "backward",
-               "output_dir", "repetitions")
-    _NOISE_FIELDS = ("delta", "mode", "seed")
-    _BACKWARD_FIELDS = ("gamma", "fp_tol", "fp_max", "cg_tol", "cg_max",
-                        "record_history", "random_init_seed", "fast_path",
-                        "dense_threshold")
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        unknown = set(data) - set(cls._FIELDS)
-        if unknown:
-            raise ValueError(f"unknown experiment fields: {sorted(unknown)}")
+        _check_keys(data, cls, "experiment")
         data = dict(data)
         noise = data.get("noise")
         if isinstance(noise, NoiseSpec):
             pass
         elif isinstance(noise, dict):
-            bad = set(noise) - set(cls._NOISE_FIELDS)
-            if bad:
-                raise ValueError(f"unknown noise fields: {sorted(bad)}")
+            _check_keys(noise, NoiseSpec, "noise")
             data["noise"] = NoiseSpec(**noise)
         else:
             raise ValueError("experiment spec needs a 'noise' object")
-        backward = data.get("backward", {})
-        bad = set(backward) - set(cls._BACKWARD_FIELDS)
-        if bad:
-            raise ValueError(f"unknown backward fields: {sorted(bad)}")
+        _check_keys(data.get("backward", {}), BackwardConfig, "backward")
         return cls(**data)
 
     @classmethod
@@ -170,6 +155,13 @@ class ExperimentSpec:
 
     def resolved(self, paper_scale: bool = False) -> "ResolvedSpec":
         return _resolve(self, paper_scale)
+
+
+def _check_keys(data: dict, kind, what: str) -> None:
+    """Reject keys of ``data`` that are not fields of the dataclass ``kind``."""
+    unknown = set(data) - {f.name for f in fields(kind)}
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
 
 
 @dataclass
@@ -379,30 +371,30 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None, *,
         jobs.append((cell_spec, seeds, paper_scale))
 
     t_start = time.perf_counter()
-    if threads > 1:
-        # cells ordered by coarse mesh and cut into one contiguous chunk per
-        # worker: a chunk's cells share a system (and its eigensolve) per
-        # mesh, so a mesh is factored at most once per worker while every
-        # worker keeps reference solves to run; results go back to row order
-        def mesh(i):
-            res = jobs[i][0].resolved(paper_scale)
-            return res.dim, res.n
+    # cells ordered by coarse mesh and cut into one contiguous chunk per
+    # worker, no more workers than cells: a chunk's cells share a system
+    # (and its eigensolve) per mesh, so a mesh is factored at most once per
+    # worker while every worker keeps reference solves to run; results go
+    # back to row order
+    def mesh(i):
+        res = jobs[i][0].resolved(paper_scale)
+        return res.dim, res.n
 
-        order = sorted(range(len(jobs)), key=mesh)
-        chunks = [order[k * len(order) // threads:(k + 1) * len(order) // threads]
-                  for k in range(threads)]
-        chunks = [c for c in chunks if c]
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            done = pool.map(_table_cells, [[jobs[i] for i in c] for c in chunks])
-            cell_results = [None] * len(jobs)
-            for chunk, results in zip(chunks, done):
-                for i, result in zip(chunk, results):
-                    cell_results[i] = result
+    order = sorted(range(len(jobs)), key=mesh)
+    workers = min(threads, len(jobs))
+    chunks = [order[k * len(order) // workers:(k + 1) * len(order) // workers]
+              for k in range(workers)]
+    chunk_jobs = [[jobs[i] for i in c] for c in chunks]
+    if len(chunks) == 1:
+        done = map(_table_cells, chunk_jobs)
     else:
-        # the coarse systems (and their eigenpairs) are shared across alphas
-        systems = {}
-        cell_results = [_table_cell(job, systems) for job in jobs]
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            done = list(pool.map(_table_cells, chunk_jobs))
+    cell_results = [None] * len(jobs)
+    for chunk, results in zip(chunks, done):
+        for i, result in zip(chunk, results):
+            cell_results[i] = result
 
     rows = []
     errors = np.zeros((len(alphas), len(deltas)))
@@ -435,7 +427,7 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None, *,
             "orders": orders, "rows": rows}
 
 
-def _table_cell(job, systems=None):
+def _table_cell(job, systems):
     """One (alpha, delta) cell: one reference solve, then every repetition on
     its clean observation; the first seed keeps artifacts.
 
@@ -443,7 +435,6 @@ def _table_cell(job, systems=None):
     """
     cell_spec, seeds, paper_scale = job
     res = cell_spec.resolved(paper_scale)
-    systems = {} if systems is None else systems
     key = (res.dim, res.n)
     if key not in systems:
         systems[key] = _assemble(*key)

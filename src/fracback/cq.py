@@ -76,25 +76,6 @@ def march(w: np.ndarray, hist: np.ndarray, step) -> np.ndarray:
     return hist
 
 
-def caputo_apply(weights: CqWeights, history, tau: float) -> np.ndarray:
-    """Discrete Caputo derivative tau^-a * sum_j w[n-j] (U^j - U^0) at t_n.
-
-    ``history`` is the list U^0..U^n of grid functions on one system;
-    returns a coefficient vector (no mass multiply).
-    """
-    n = len(history) - 1
-    if n < 0 or n > weights.N:
-        raise ValueError(f"history length {len(history)} incompatible with N={weights.N}")
-    sys0 = history[0].system
-    if any(u.system is not sys0 for u in history):
-        raise ValueError("history entries live on different systems")
-    u0 = history[0].values
-    acc = np.zeros_like(u0)
-    for j, u in enumerate(history):
-        acc += weights.w[n - j] * (u.values - u0)
-    return acc / tau ** weights.alpha
-
-
 def scalar_terminal_factor(alpha: float, T: float, N: int, lam, u0=1.0, source=None):
     """Terminal value of the CQ-BE scheme on scalar modes u' -> lambda u.
 

@@ -19,8 +19,13 @@ class NumericalFailure(RuntimeError):
     """An iterative solver failed to reach its tolerance."""
 
 
+# Largest system, in dofs, on which the dense (K, M) eigensolve runs: it
+# costs O(d^3) time and O(d^2) memory.
+DENSE_CAP = 4096
+
+
 class UnsupportedSize(ValueError):
-    """Dense-path operation requested above the configured dof threshold."""
+    """Dense-path operation requested above :data:`DENSE_CAP` dofs."""
 
 
 def conjugate_gradient(apply_op, b, *, tol=1e-12, maxiter=1000, dot=None,
@@ -118,14 +123,11 @@ class FemSystem:
     in the nonlinear term) pick up the boundary-adjacent contributions.
 
     The system also owns the data derived from it, built on first use and
-    freed with it: the dense eigenpairs of (K, M) (:meth:`eigenpairs`) and,
-    keyed by time grid, one time-stepping workspace (the LU factor of
-    tau^-alpha M + K and the CQ weights) in ``step_workspaces``, the CQ
-    symbol r_N at the eigenvalues in ``symbols`` and the Chebyshev
-    coefficients of r_N in the step resolvent in ``series``, filled by
-    :mod:`fracback.forward` and :mod:`fracback.backward`.  Nothing outside
-    the system keeps them, so dropping the last reference to a system
-    releases its factors; a pickled copy leaves them out.
+    freed with it: :meth:`derived` keeps each value under a key its caller
+    picks, such as ``"eig"`` for the dense eigenpairs (:meth:`eigenpairs`)
+    or ``("step", grid)`` for the step factor of one time grid.  Nothing
+    outside the system keeps them, so dropping the last reference to a
+    system releases its factors; a pickled copy leaves them out.
     """
 
     def __init__(self, mesh, M, K, m_coupling, interior_ids):
@@ -134,16 +136,18 @@ class FemSystem:
         self.K = K
         self.m_coupling = m_coupling
         self.interior_ids = interior_ids
-        self._eig = None
-        self.step_workspaces = {}
-        self.symbols = {}
-        self.series = {}
+        self._derived = {}
 
     def __getstate__(self):
         # a pickled copy (e.g. a result sent back by a worker process)
         # carries the matrices only and rebuilds derived data on use
-        return {**self.__dict__, "_eig": None, "step_workspaces": {},
-                "symbols": {}, "series": {}}
+        return {**self.__dict__, "_derived": {}}
+
+    def derived(self, key, build):
+        """The value kept under ``key``, made by ``build()`` on first use."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     @property
     def num_dofs(self) -> int:
@@ -158,20 +162,18 @@ class FemSystem:
         out[self.interior_ids] = values
         return out
 
-    def eigenpairs(self, dense_threshold=4096):
+    def eigenpairs(self):
         """Generalized eigenpairs of (K, M), eigenvectors M-orthonormal.
 
-        Backed by a dense solve; refuses systems above the threshold.
-        Kept on the system after the first call.
+        Backed by a dense solve; refuses systems above :data:`DENSE_CAP`
+        dofs.  Kept on the system after the first call.
         """
-        if self.num_dofs > dense_threshold:
+        if self.num_dofs > DENSE_CAP:
             raise UnsupportedSize(
-                f"dense eigendecomposition capped at {dense_threshold} dofs, "
+                f"dense eigendecomposition capped at {DENSE_CAP} dofs, "
                 f"system has {self.num_dofs}")
-        if self._eig is None:
-            lam, phi = scipy.linalg.eigh(self.K.toarray(), self.M.toarray())
-            self._eig = (lam, phi)
-        return self._eig
+        return self.derived("eig", lambda: scipy.linalg.eigh(self.K.toarray(),
+                                                             self.M.toarray()))
 
 
 def assemble(mesh) -> FemSystem:
@@ -304,11 +306,11 @@ def l2_error(sys: FemSystem, u: GridFunction, ref: GridFunction, *, relative=Fal
     return err / denom
 
 
-def neg_norm(sys: FemSystem, u: GridFunction, mu: float, *, dense_threshold=4096) -> float:
+def neg_norm(sys: FemSystem, u: GridFunction, mu: float) -> float:
     """Negative-order norm ||A_h^{-mu/2} u|| via the dense (K, M) eigenbases."""
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mu must lie in (0, 1], got {mu}")
-    lam, phi = sys.eigenpairs(dense_threshold)
+    lam, phi = sys.eigenpairs()
     coeff = phi.T @ (sys.M @ u.values)
     return float(np.sqrt(np.sum(lam ** (-mu) * coeff ** 2)))
 

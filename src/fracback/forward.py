@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -25,11 +24,10 @@ from fracback.fem import FemSystem, GridFunction, NumericalFailure, load_nonline
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Pointwise source term f(u) with an optional Lipschitz hint."""
+    """Pointwise source term f(u)."""
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
-    lipschitz_hint: float = 0.0
 
     def __call__(self, u):
         return self.f(u)
@@ -40,13 +38,13 @@ class Nonlinearity:
 
 
 _REGISTRY: dict[str, Callable[[float], Nonlinearity]] = {
-    "zero": lambda L: Nonlinearity("zero", lambda u: np.zeros_like(u), 0.0),
-    "identity": lambda L: Nonlinearity("identity", lambda u: u, 1.0),
-    "sqrt1pu2": lambda L: Nonlinearity("sqrt1pu2", lambda u: np.sqrt(1.0 + u * u), 1.0),
-    "one_minus_u3": lambda L: Nonlinearity("one_minus_u3", lambda u: 1.0 - u ** 3, 0.0),
+    "zero": lambda L: Nonlinearity("zero", lambda u: np.zeros_like(u)),
+    "identity": lambda L: Nonlinearity("identity", lambda u: u),
+    "sqrt1pu2": lambda L: Nonlinearity("sqrt1pu2", lambda u: np.sqrt(1.0 + u * u)),
+    "one_minus_u3": lambda L: Nonlinearity("one_minus_u3", lambda u: 1.0 - u ** 3),
     "L_sqrt1pu2": lambda L: Nonlinearity(
-        f"L_sqrt1pu2:{L:g}", lambda u: L * np.sqrt(1.0 + u * u), abs(L)),
-    "allen_cahn": lambda L: Nonlinearity("allen_cahn", lambda u: u - u ** 3, 1.0),
+        f"L_sqrt1pu2:{L:g}", lambda u: L * np.sqrt(1.0 + u * u)),
+    "allen_cahn": lambda L: Nonlinearity("allen_cahn", lambda u: u - u ** 3),
 }
 
 
@@ -111,10 +109,7 @@ class _StepWorkspace:
 
 def _workspace(sys: FemSystem, grid: TimeGrid) -> _StepWorkspace:
     """The system's workspace for ``grid``, built on first use."""
-    ws = sys.step_workspaces.get(grid)
-    if ws is None:
-        ws = sys.step_workspaces[grid] = _StepWorkspace(sys, grid)
-    return ws
+    return sys.derived(("step", grid), lambda: _StepWorkspace(sys, grid))
 
 
 def solve_forward(sys: FemSystem, grid: TimeGrid, u0: GridFunction,
@@ -171,11 +166,8 @@ def resolvent_bound(sys: FemSystem, grid: TimeGrid) -> float:
 
 def terminal_series(sys: FemSystem, grid: TimeGrid) -> np.ndarray:
     """All N+1 Chebyshev coefficients of r_N on [0, mu_max], kept on the system."""
-    c = sys.series.get(grid)
-    if c is None:
-        c = sys.series[grid] = chebyshev_terminal_series(
-            grid.alpha, grid.T, grid.N, resolvent_bound(sys, grid))
-    return c
+    return sys.derived(("series", grid), lambda: chebyshev_terminal_series(
+        grid.alpha, grid.T, grid.N, resolvent_bound(sys, grid)))
 
 
 def apply_F_series(sys: FemSystem, grid: TimeGrid, v: GridFunction,
@@ -213,17 +205,3 @@ def apply_S(sys: FemSystem, grid: TimeGrid, v: GridFunction,
     """Discrete semilinear solution operator: terminal state of the full scheme."""
     traj = solve_forward(sys, grid, v, f, keep_states=False)
     return traj.terminal
-
-
-def dump_trajectory(traj: Trajectory, indices, directory, prefix="state"):
-    """Write selected time slices as CSV files, return the file names."""
-    from fracback.fem import write_field_csv
-
-    out = []
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for n in indices:
-        path = directory / f"{prefix}_{n:05d}.csv"
-        write_field_csv(traj.states[n], path)
-        out.append(str(path))
-    return out

@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from fracback import backward
+from fracback import backward, fem
 from fracback.backward import (
     BackwardConfig,
     ParameterRangeError,
@@ -44,6 +44,8 @@ def test_config_validation():
         BackwardConfig(gamma=1e-3, fp_tol=-1.0)
     with pytest.raises(ValueError):
         BackwardConfig(gamma=1e-3, fast_path="maybe")
+    with pytest.raises(ValueError):
+        BackwardConfig(gamma=1e-3, fast_path="on")
 
 
 def test_zero_rhs_zero_iterations(sys16, grid):
@@ -52,7 +54,7 @@ def test_zero_rhs_zero_iterations(sys16, grid):
     assert np.allclose(out.values, 0.0)
 
 
-@pytest.mark.parametrize("fast_path", ["off", "on"])
+@pytest.mark.parametrize("fast_path", ["off", "auto"])
 def test_regularized_solve_matches_spectral_inverse(sys16, grid, fast_path):
     gamma = 1e-3
     lam, phi = sys16.eigenpairs()
@@ -65,27 +67,32 @@ def test_regularized_solve_matches_spectral_inverse(sys16, grid, fast_path):
     assert np.max(np.abs(x.values - ref)) / np.max(np.abs(ref)) < 1e-8
 
 
-def test_dense_threshold_is_honoured(grid):
-    # 15 dofs: the spectral path must refuse a cap below the system size
+def test_dense_cap_is_honoured(monkeypatch, grid):
+    # 15 dofs: "auto" is dense-spectral at a cap of 15 and takes the series
+    # at a cap of 14, where the eigensolve and the spectral mode refuse
     sys = assemble(build_interval_mesh(16))
-    rhs = GridFunction(sys, np.ones(sys.num_dofs))
-    capped = BackwardConfig(gamma=1e-3, fast_path="on", dense_threshold=10)
+    cfg = BackwardConfig(gamma=1e-3)
+    monkeypatch.setattr(fem, "DENSE_CAP", sys.num_dofs)
+    assert Propagator.for_config(sys, grid, cfg).mode == "spectral"
+    monkeypatch.setattr(fem, "DENSE_CAP", sys.num_dofs - 1)
+    assert Propagator.for_config(sys, grid, cfg).mode == "series"
     with pytest.raises(UnsupportedSize):
-        solve_linear_regularized(sys, grid, rhs, capped)
+        sys.eigenpairs()
     with pytest.raises(UnsupportedSize):
-        fixed_point_reconstruct(sys, grid, rhs, get_nonlinearity("zero"), capped)
+        Propagator(sys, grid, "spectral")
 
 
-def test_propagator_falls_back_to_stepping(grid):
+def test_propagator_falls_back_to_stepping(monkeypatch, grid):
     # 15 dofs above a cap of 10: "auto" takes the series when gamma * cg_tol
     # is reachable with fewer than N terms, stepping when it is not
+    monkeypatch.setattr(fem, "DENSE_CAP", 10)
     sys = assemble(build_interval_mesh(16))
     v = np.linspace(-1.0, 1.0, sys.num_dofs)
     stepped = apply_F(sys, grid, GridFunction(sys, v)).values
-    series = Propagator.for_config(sys, grid, BackwardConfig(gamma=1e-3, dense_threshold=10))
+    series = Propagator.for_config(sys, grid, BackwardConfig(gamma=1e-3))
     assert series.mode == "series" and series.degree < grid.N
     assert 0.0 < series.bound < 1e-3 * 1e-10
-    for cfg in (BackwardConfig(gamma=1e-5, cg_tol=1e-12, dense_threshold=10),
+    for cfg in (BackwardConfig(gamma=1e-5, cg_tol=1e-12),
                 BackwardConfig(gamma=1e-3, fast_path="off")):
         prop = Propagator.for_config(sys, grid, cfg)
         assert prop.describe() == {"mode": "stepping", "degree": grid.N, "bound": 0.0}
@@ -94,17 +101,18 @@ def test_propagator_falls_back_to_stepping(grid):
     assert Propagator(sys, grid, "series", series_tol=0.0).mode == "stepping"
     with pytest.raises(ValueError, match="series_tol"):
         Propagator(sys, grid, "series")
-    assert not sys.symbols and sys._eig is None
+    assert set(sys._derived) == {("step", grid), ("series", grid)}
 
 
-def test_series_reconstruction_matches_stepping(sys16, grid):
+def test_series_reconstruction_matches_stepping(monkeypatch, sys16, grid):
+    monkeypatch.setattr(fem, "DENSE_CAP", 10)
     f = get_nonlinearity("L_sqrt1pu2:0.5")
     x = sys16.interior_coords()[:, 0]
     truth = GridFunction(sys16, np.sin(2 * np.pi * x))
     g = solve_forward(sys16, grid, truth, f, keep_states=False).terminal
     runs = {}
     for fast_path in ("auto", "off"):
-        cfg = BackwardConfig(gamma=1e-3, fast_path=fast_path, dense_threshold=10)
+        cfg = BackwardConfig(gamma=1e-3, fast_path=fast_path)
         runs[fast_path] = fixed_point_reconstruct(sys16, grid, g, f, cfg, truth=truth)
     series, stepping = runs["auto"], runs["off"]
     assert series.propagator["mode"] == "series"
@@ -139,15 +147,17 @@ def test_system_keeps_one_symbol_per_grid(monkeypatch, grid):
     for T in (1.0, 1.0, 2.0):
         solve_linear_regularized(sys, TimeGrid(T=T, N=grid.N, alpha=grid.alpha), rhs,
                                  BackwardConfig(gamma=1e-3))
-    assert len(calls) == 2 and set(sys.symbols) == {
-        TimeGrid(T=1.0, N=grid.N, alpha=grid.alpha), TimeGrid(T=2.0, N=grid.N, alpha=grid.alpha)}
+    assert len(calls) == 2 and set(sys._derived) == {
+        "eig", ("symbol", TimeGrid(T=1.0, N=grid.N, alpha=grid.alpha)),
+        ("symbol", TimeGrid(T=2.0, N=grid.N, alpha=grid.alpha))}
     Propagator(sys, grid, "series", series_tol=1e-13)
-    assert set(sys.series) == {grid} and sys.series[grid].shape == (grid.N + 1,)
-    coeffs = sys.series[grid]
+    coeffs = sys._derived["series", grid]
+    assert coeffs.shape == (grid.N + 1,)
     Propagator(sys, TimeGrid(T=grid.T, N=grid.N, alpha=grid.alpha), "series", series_tol=1e-8)
-    assert sys.series[grid] is coeffs
+    assert sys._derived["series", grid] is coeffs
     copy = pickle.loads(pickle.dumps(sys))
-    assert copy.symbols == {} and copy.series == {} and copy.step_workspaces == {}
+    assert copy._derived == {} and len(sys._derived) == 4
+    assert np.array_equal(copy.M.toarray(), sys.M.toarray())
 
 
 def test_huge_gamma_limit(sys16, grid):

@@ -1,3 +1,5 @@
+import concurrent.futures
+import dataclasses
 import gc
 import json
 import weakref
@@ -7,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from fracback import bench, forward
+from fracback.backward import BackwardConfig
 from fracback.bench import (
     ExperimentSpec,
     NoiseSpec,
@@ -69,6 +72,23 @@ def test_spec_rejects_unknown_fields():
     data["backward"]["hmm"] = 3
     with pytest.raises(ValueError):
         ExperimentSpec.from_dict(data)
+
+
+def test_spec_accepts_every_backward_field():
+    # the backward keys of a spec are the fields of BackwardConfig
+    defaults = BackwardConfig(gamma=1e-3)
+    for f in dataclasses.fields(BackwardConfig):
+        data = small_spec().to_dict()
+        data["backward"][f.name] = getattr(defaults, f.name)
+        res = ExperimentSpec.from_dict(data).resolved()
+        cfg = BackwardConfig(gamma=res.gamma, **res.backward_kwargs)
+        assert getattr(cfg, f.name) == getattr(defaults, f.name)
+    # the removed dense cap and history switch are unknown keys now
+    for key, value in (("dense_threshold", 4096), ("record_history", True)):
+        data = small_spec().to_dict()
+        data["backward"][key] = value
+        with pytest.raises(ValueError, match=f"unknown backward fields: \\['{key}'\\]"):
+            ExperimentSpec.from_dict(data)
 
 
 def test_spec_json_roundtrip(tmp_path):
@@ -272,6 +292,38 @@ def test_run_table_parallel_matches_serial(tmp_path, monkeypatch):
     run_table(spec2, deltas=[2e-3, 1e-3])
     for f in sorted((tmp_path / "serial").glob("*.csv")):
         assert f.read_bytes() == (tmp_path / "par" / f.name).read_bytes()
+
+
+def test_run_table_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch):
+    # FRACBACK_THREADS above the cell count asks for one worker per cell; an
+    # in-process stand-in for the pool records the request and starts no
+    # process, and a serial sweep builds no pool
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setenv("FRACBACK_THREADS", "1")
+    run_table(small_spec(output_dir=str(tmp_path / "serial")), deltas=[2e-3, 1e-3])
+    assert requested == []
+    monkeypatch.setenv("FRACBACK_THREADS", "64")
+    run_table(small_spec(output_dir=str(tmp_path / "pool")), deltas=[2e-3, 1e-3])
+    assert requested == [2]
+    csvs = sorted((tmp_path / "serial").glob("*.csv"))
+    assert len(csvs) == 5
+    for f in csvs:
+        assert f.read_bytes() == (tmp_path / "pool" / f.name).read_bytes()
 
 
 def test_parallel_sweep_shares_coarse_eigensolve(tmp_path, monkeypatch):

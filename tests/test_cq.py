@@ -3,10 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln
 
-from fracback.cq import (BLOCK, caputo_apply, cq_weights, march, scalar_terminal_factor,
-                         truncate_series)
-from fracback.fem import GridFunction, assemble
-from fracback.grid import build_interval_mesh
+from fracback.cq import BLOCK, cq_weights, march, scalar_terminal_factor, truncate_series
 
 
 def loggamma_weights(alpha, N):
@@ -76,48 +73,6 @@ def test_weights_validation():
         cq_weights(1.0, 10)
     with pytest.raises(ValueError):
         cq_weights(0.5, 0)
-
-
-@pytest.fixture(scope="module")
-def sys8():
-    return assemble(build_interval_mesh(8))
-
-
-def test_caputo_constant_history(sys8):
-    w = cq_weights(0.4, 10)
-    u0 = GridFunction(sys8, np.ones(sys8.num_dofs))
-    out = caputo_apply(w, [u0, u0.copy(), u0.copy()], tau=0.1)
-    assert np.allclose(out, 0.0, atol=1e-15)
-
-
-def test_caputo_single_step(sys8):
-    w = cq_weights(0.4, 10)
-    tau = 0.05
-    u0 = GridFunction(sys8, np.zeros(sys8.num_dofs))
-    v = np.linspace(-1, 1, sys8.num_dofs)
-    u1 = GridFunction(sys8, v.copy())
-    out = caputo_apply(w, [u0, u1], tau=tau)
-    assert np.allclose(out, v / tau ** 0.4, rtol=1e-14)
-
-
-def test_caputo_backward_difference_limit(sys8):
-    # alpha -> 1: discrete Caputo approaches (U^n - U^{n-1}) / tau on a ramp
-    alpha = 0.999
-    N = 50
-    tau = 1.0 / N
-    w = cq_weights(alpha, N)
-    base = np.linspace(0.5, 1.5, sys8.num_dofs)
-    history = [GridFunction(sys8, (n * tau) ** 2 * base) for n in range(N + 1)]
-    out = caputo_apply(w, history, tau=tau)
-    fd = (history[-1].values - history[-2].values) / tau
-    assert np.max(np.abs(out - fd)) / np.max(np.abs(fd)) < 0.02
-
-
-def test_caputo_history_validation(sys8):
-    w = cq_weights(0.5, 3)
-    u = GridFunction(sys8, np.zeros(sys8.num_dofs))
-    with pytest.raises(ValueError):
-        caputo_apply(w, [u] * 6, tau=0.1)
 
 
 def test_scalar_terminal_matches_exponential_limit():

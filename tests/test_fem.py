@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fracback import fem
 from fracback.fem import (
     GridFunction,
     NumericalFailure,
@@ -84,10 +85,11 @@ def test_lowest_discrete_eigenvalue_bounds_continuous(dim, n):
     assert lam[0] >= dim * np.pi ** 2
 
 
-def test_eigen_threshold():
+def test_eigen_threshold(monkeypatch):
     sys = assemble(build_interval_mesh(64))
+    monkeypatch.setattr(fem, "DENSE_CAP", 10)
     with pytest.raises(UnsupportedSize):
-        sys.eigenpairs(dense_threshold=10)
+        sys.eigenpairs()
 
 
 def test_project_zero(sys2d):

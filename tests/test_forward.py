@@ -255,19 +255,6 @@ def test_solver_rejects_foreign_function(sys16):
                       get_nonlinearity("zero"))
 
 
-def test_trajectory_dump(tmp_path, sys16):
-    from fracback.forward import dump_trajectory
-
-    u0 = gf(sys16, np.sin(np.pi * sys16.interior_coords()[:, 0]))
-    traj = solve_forward(sys16, TimeGrid(T=1.0, N=8, alpha=0.5), u0,
-                         get_nonlinearity("zero"))
-    paths = dump_trajectory(traj, [0, 4, 8], tmp_path)
-    assert len(paths) == 3
-    first = (tmp_path / "state_00000.csv").read_text().splitlines()
-    assert first[0] == "x,value"
-    assert len(first) == sys16.mesh.num_nodes + 1
-
-
 _SERIES_SYSTEMS = {}
 
 
