@@ -11,7 +11,8 @@ homogeneous solution map F^N is self-adjoint positive definite.  A
 * "series"   - F^N = r_N(A) for the step resolvent A = (tau^-a M + K)^-1 M,
   in which r_N is a polynomial of degree N; a Chebyshev series of a few
   terms, whose dropped tail is below gamma * cg_tol, is applied with the
-  LU factor time stepping already uses (no history);
+  band Cholesky factor of tau^-a M + K that time stepping already uses
+  (no history);
 * "stepping" - one homogeneous N-step forward solve per application, the
   reference the other two are tested against.
 

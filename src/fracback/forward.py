@@ -3,10 +3,11 @@
 Time stepping couples the CQ-BE discrete Caputo derivative with the P1
 stiffness matrix; the nonlinear term is lagged one step (linearized
 scheme), so each step is a single SPD solve with the fixed matrix
-tau^-alpha M + K.  The homogeneous terminal map v -> U^N is the discrete
-solution operator, applied matrix-free either by one N-step solve
-(:func:`apply_F`) or by a short Chebyshev series in the step resolvent
-(:func:`apply_F_series`).
+tau^-alpha M + K, factored once per time grid by :class:`BandCholesky`.
+The homogeneous terminal map v -> U^N is the discrete solution operator,
+applied matrix-free either by one N-step solve (:func:`apply_F`) or by a
+short Chebyshev series in the step resolvent (:func:`apply_F_series`);
+both solve with that one factor.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import splu
+import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from fracback.cq import chebyshev_terminal_series, cq_weights, march
 from fracback.fem import FemSystem, GridFunction, NumericalFailure, load_nonlinear
@@ -94,14 +96,55 @@ class Trajectory:
     terminal: GridFunction
 
 
+class BandCholesky:
+    """Cholesky factor of a sparse SPD matrix, kept in LAPACK band storage.
+
+    The unknowns are renumbered by reverse Cuthill-McKee, which narrows
+    the band of a mesh matrix to about one mesh layer (``kd`` = 1 in 1D,
+    n-1 on the n x n square).  The upper band, kd+1 rows, is factored by
+    ``dpbtrf``; a solve is two banded triangular sweeps (``dpbtrs``).
+    Storage and solve cost are O(d kd).  A matrix that is not positive
+    definite raises :class:`NumericalFailure`.
+    """
+
+    def __init__(self, mat):
+        # csgraph is imported here, not at module level: it costs about
+        # 0.9 MB of memory that runs which never factor should not pay
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        mat = sp.csr_matrix(mat)
+        perm = reverse_cuthill_mckee(mat, symmetric_mode=True)
+        upper = sp.triu(mat[perm][:, perm], format="coo")
+        self.kd = int((upper.col - upper.row).max(initial=0))
+        band = np.zeros((self.kd + 1, mat.shape[0]), order="F")
+        band[self.kd + upper.row - upper.col, upper.col] = upper.data
+        self.factor, info = dpbtrf(band, overwrite_ab=1)
+        if info != 0:
+            raise NumericalFailure(f"band Cholesky failed (dpbtrf info={info}): "
+                                   "matrix is not positive definite")
+        self.perm = perm
+        self.iperm = np.argsort(perm)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, _ = dpbtrs(self.factor, b[self.perm], overwrite_b=1)
+        return x[self.iperm]
+
+
+# Step factors are built through this module attribute, under the name of
+# the SuperLU factor it replaced: perfbench's tracer and tests/test_bench.py
+# wrap ``forward.splu`` to time and count factorisations.
+splu = BandCholesky
+
+
 class _StepWorkspace:
-    """Factored step matrix and CQ weights reused across solves on one grid."""
+    """Band Cholesky factor of the step matrix tau^-a M + K and the CQ
+    weights, reused by every solve on one grid: the time steps of
+    :func:`solve_forward` and the series terms of :func:`apply_F_series`."""
 
     def __init__(self, sys: FemSystem, grid: TimeGrid):
         tau_a = grid.tau ** (-grid.alpha)
         self.tau_a = tau_a
-        mat = (tau_a * sys.M + sys.K).tocsc()
-        self.solver = splu(mat)
+        self.solver = splu(tau_a * sys.M + sys.K)
         wts = cq_weights(grid.alpha, grid.N)
         self.w = wts.w
         self.s = wts.partial_sums()
@@ -178,7 +221,8 @@ def apply_F_series(sys: FemSystem, grid: TimeGrid, v: GridFunction,
     the head c[:m] of :func:`terminal_series`, the difference from
     :func:`apply_F` in the M-norm is at most the dropped tail times
     ||v||_M, plus rounding.  Clenshaw's recurrence applies X m-1 times,
-    each one mass product and one solve with the step factor, and keeps
+    each one mass product and one solve with the band Cholesky factor
+    that time stepping uses on the same grid, and keeps
     three vectors instead of the (N+1) x d history.  A non-finite result
     raises :class:`NumericalFailure`.
     """

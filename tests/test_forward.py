@@ -8,6 +8,7 @@ from scipy.sparse.linalg import splu
 from fracback.cq import cq_weights, scalar_terminal_factor, truncate_series
 from fracback.fem import GridFunction, NumericalFailure, assemble, l2_norm, load_nonlinear
 from fracback.forward import (
+    BandCholesky,
     Nonlinearity,
     TimeGrid,
     apply_F,
@@ -157,6 +158,44 @@ def naive_solve(sys, grid, u0, f):
     return hist
 
 
+def step_matrix(sys, alpha):
+    grid = TimeGrid(T=1.0, N=50, alpha=alpha)
+    return grid.tau ** (-grid.alpha) * sys.M + sys.K
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.9])
+@pytest.mark.parametrize("dim, n", [(1, 16), (1, 512), (2, 5), (2, 28), (2, 66)])
+def test_band_factor_matches_superlu(dim, n, alpha):
+    sys = assemble(build_interval_mesh(n) if dim == 1 else build_square_mesh(n))
+    mat = step_matrix(sys, alpha)
+    b = np.random.default_rng(n).standard_normal(sys.num_dofs)
+    x = BandCholesky(mat).solve(b)
+    ref = splu(mat.tocsc()).solve(b)
+    # relative residual as a normwise backward error, in the max norm
+    scale = abs(mat).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+    assert np.abs(mat @ x - b).max() <= 1e-13 * scale
+    assert l2_norm(sys, gf(sys, x - ref)) <= 1e-12 * l2_norm(sys, gf(sys, ref))
+
+
+def test_band_factor_is_invariant_to_renumbering():
+    sys = assemble(build_square_mesh(28))
+    mat = step_matrix(sys, 0.5).tocsr()
+    rng = np.random.default_rng(11)
+    p = rng.permutation(sys.num_dofs)
+    b = rng.standard_normal(sys.num_dofs)
+    x = BandCholesky(mat).solve(b)
+    shuffled = BandCholesky(mat[p][:, p])
+    assert np.abs(shuffled.solve(b[p]) - x[p]).max() <= 1e-12 * np.abs(x).max()
+    rows, cols = mat.nonzero()
+    assert shuffled.kd <= np.abs(rows - cols).max()
+
+
+def test_band_factor_rejects_indefinite_matrix(sys16):
+    # lam_1h ~ pi^2 < 100 < lam_max,h, so K - 100 M has eigenvalues of both signs
+    with pytest.raises(NumericalFailure, match="not positive definite"):
+        BandCholesky(sys16.K - 100.0 * sys16.M)
+
+
 def test_blocked_solve_matches_naive_stepper(sys16):
     # N = 70 crosses two block boundaries of the history kernel
     grid = TimeGrid(T=1.0, N=70, alpha=0.3)
@@ -186,7 +225,7 @@ def test_solve_memory_is_the_history_array():
     grid = TimeGrid(T=1.0, N=200, alpha=0.5)
     u0 = gf(sys, np.ones(sys.num_dofs))
     f = get_nonlinearity("sqrt1pu2")
-    solve_forward(sys, grid, u0, f, keep_states=False)   # warm the LU workspace
+    solve_forward(sys, grid, u0, f, keep_states=False)   # warm the step factor
     tracemalloc.start()
     try:
         solve_forward(sys, grid, u0, f, keep_states=False)
