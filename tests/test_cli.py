@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -22,6 +23,11 @@ def test_mlf_value(capsys):
     assert main(["mlf", "--alpha", "1", "--beta", "1", "--x", "-1"]) == 0
     out = capsys.readouterr().out.strip()
     assert out == "0.367879441171442"
+
+
+def test_mlf_large_argument_negative_exponent_form(capsys):
+    assert main(["mlf", "--alpha", "1.5", "--x", "-2e5"]) == 0
+    assert math.isfinite(float(capsys.readouterr().out))
 
 
 def test_params_preset(capsys):

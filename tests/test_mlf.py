@@ -1,19 +1,19 @@
+import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy.special import erfcx, gamma as gamma_fn, gammaln, rgamma
+from scipy.special import erfcx, gamma as gamma_fn, rgamma
 
+import fracback
 from fracback.fem import assemble, l2_norm
-from fracback import mlf
 from fracback.grid import build_interval_mesh, build_square_mesh
 from fracback.mlf import (
     MlParams,
     SpectralField,
-    _asymptotic,
-    _coefficients,
-    _taylor_f64,
-    _taylor_mp,
     mittag_leffler,
     sample_on_mesh,
     spectral_backward_linear,
@@ -84,136 +84,8 @@ def test_monotone_decreasing():
         assert np.all(np.diff(vals) < 0.0)
 
 
-def test_region_crossover_continuity():
-    # methods agree to far better than 1e-9 where they hand over
-    for alpha in np.linspace(0.05, 0.99, 20):
-        x_lo = -(5.0 ** alpha)
-        assert abs(_taylor_f64(alpha, 1.0, x_lo)
-                   - _taylor_mp(alpha, 1.0, x_lo, 5.0)) < 1e-9
-        x_hi = -(34.0 ** alpha)
-        asym = _asymptotic(alpha, 1.0, x_hi)
-        assert asym is not None
-        assert abs(asym - _taylor_mp(alpha, 1.0, x_hi, 34.0)) < 1e-9
-
-
-def _taylor_kahan(alpha, beta, x, terms=700):
-    """The float64 Taylor series summed by a Kahan-compensated loop; also
-    returns the sum of the terms' magnitudes."""
-    k = np.arange(1, terms + 1, dtype=np.float64)
-    with np.errstate(under="ignore"):
-        mags = np.exp(k * np.log(-x) - gammaln(alpha * k + beta))
-    total = float(rgamma(beta))
-    comp = 0.0
-    for t in np.where(k % 2 == 0, mags, -mags):
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total, abs(float(rgamma(beta))) + float(mags.sum())
-
-
-def test_taylor_sum_matches_kahan_reference():
-    # Kahan errs by at most ~2u sum|t_k| and an exactly rounded sum by u|S|,
-    # so the two agree to 4u sum|t_k| (u = 2^-53) over the Taylor region
-    u = 2.0 ** -53
-    for alpha in np.linspace(0.05, 1.95, 20):
-        for beta in (1.0, alpha, 0.5):
-            for s in np.geomspace(1e-3, 5.0, 12):
-                x = -(s ** alpha)
-                ref, magnitude = _taylor_kahan(alpha, beta, x)
-                assert abs(_taylor_f64(alpha, beta, x) - ref) <= 4.0 * u * magnitude
-
-
-def _taylor_f64_per_call(alpha, beta, x):
-    """The float64 Taylor regime as it was before its tables were cached:
-    every call forms every coefficient."""
-    X = -x
-    k = np.arange(1, 700 + 1, dtype=np.float64)
-    with np.errstate(under="ignore"):
-        mags = np.exp(k * np.log(X) - gammaln(alpha * k + beta))
-    terms = np.where(k % 2 == 0, mags, -mags)
-    return math.fsum([float(rgamma(beta)), *terms.tolist()])
-
-
-def _asymptotic_per_call(alpha, beta, x):
-    """The asymptotic regime as it was before its tables were cached."""
-    X = -x
-    lnX = np.log(X)
-    k = np.arange(1, 1600 + 1, dtype=np.float64)
-    y = beta - alpha * k
-    ln_env = np.where(
-        y > 0.5,
-        -k * lnX - gammaln(np.maximum(y, 0.5)),
-        -k * lnX + gammaln(np.maximum(1.0 - y, 0.5)) - np.log(np.pi),
-    )
-    kstar = int(np.argmin(ln_env)) + 1
-    if ln_env[kstar - 1] > ln_env[0] - 13.0 * np.log(10.0):
-        return None
-    kk = k[:kstar]
-    yy = y[:kstar]
-    pos = yy > 0
-    with np.errstate(under="ignore", divide="ignore"):
-        sin_y = np.sin(np.pi * yy)
-        ln_mag = np.where(
-            pos,
-            -kk * lnX - gammaln(np.where(pos, yy, 1.0)),
-            -kk * lnX + np.log(np.abs(sin_y)) + gammaln(np.where(pos, 1.0, 1.0 - yy))
-            - np.log(np.pi),
-        )
-        sign = np.where(pos, 1.0, np.sign(sin_y))
-        terms = np.where(kk % 2 == 1, 1.0, -1.0) * sign * np.exp(ln_mag)
-    return float(np.sum(terms))
-
-
-def test_tabulated_regimes_match_per_call_reference(monkeypatch):
-    # same expressions in the same order, so equal to the last bit, on both
-    # sides of the Taylor (s = 5) and asymptotic (s = 34) gauges; alpha =
-    # 0.005 and 0.01 add orders whose asymptotic series gives up (None)
-    taylor_s = (1e-3, 0.5, 2.0, 4.9, 5.0, 5.1, 6.0)
-    asym_s = (20.0, 33.0, 34.0, 35.0, 60.0, 1e3, 1e6)
-    fallbacks = 0
-    for alpha in (0.005, 0.01, *np.linspace(0.02, 0.98, 50)):
-        for beta in (1.0, alpha):
-            for s in taylor_s:
-                x = -(s ** alpha)
-                assert _taylor_f64(alpha, beta, x) == _taylor_f64_per_call(alpha, beta, x)
-            for s in asym_s:
-                x = -(s ** alpha)
-                want = _asymptotic_per_call(alpha, beta, x)
-                assert _asymptotic(alpha, beta, x) == want
-                fallbacks += s >= 34.0 and want is None
-    assert fallbacks > 0
-    # where it gives up past s = 34, mittag_leffler takes the multiprecision
-    # series (stubbed: at this order it sums ~10^4 terms, about a second)
-    x = -(34.0 ** 0.01)
-    assert _asymptotic(0.01, 1.0, x) is None
-    monkeypatch.setattr(mlf, "_taylor_mp", lambda alpha, beta, x, s: ("mp", alpha, beta, x))
-    assert mittag_leffler(0.01, 1.0, x) == ("mp", 0.01, 1.0, x)
-
-
-def test_coefficient_tables_are_independent_and_read_only():
-    # Taylor and asymptotic arguments, three orders beta per alpha
-    cases = [(alpha, beta, -(s ** alpha))
-             for alpha, gauges in ((0.1, (0.3, 4.0, 40.0, 1e4)), (0.5, (4.0, 1e4)),
-                                   (0.9, (0.3, 40.0)), (1.5, (0.3, 4.0)))
-             for beta in (1.0, alpha, 2.0)
-             for s in gauges]
-    _coefficients.cache_clear()
-    forwards = [mittag_leffler(*case) for case in cases]
-    _coefficients.cache_clear()
-    backwards = [mittag_leffler(*case) for case in reversed(cases)]
-    assert forwards == backwards[::-1]
-    tables = vars(_coefficients(0.5, 1.0))
-    arrays = [a for a in tables.values() if isinstance(a, np.ndarray)]
-    assert len(arrays) >= 5
-    arrays += [mlf._TAYLOR_K, mlf._TAYLOR_EVEN, mlf._ASYM_K]
-    for a in arrays:
-        with pytest.raises(ValueError):
-            a[0] = 1.0
-
-
 def test_multiprecision_reference_band():
-    # adaptive-precision series as an independent check inside the band
+    # adaptive-precision Taylor series as an independent check
     import mpmath
 
     def ref(alpha, beta, x):
@@ -240,11 +112,45 @@ def test_multiprecision_reference_band():
                     low = 0
             return float(tot)
 
-    for alpha, s in ((0.3, 9.0), (0.6, 14.0), (0.9, 21.0)):
-        for beta in (1.0, alpha):
-            x = -(s ** alpha)
-            assert mittag_leffler(alpha, beta, x) == pytest.approx(
-                ref(alpha, beta, x), rel=1e-11)
+    cases = [(alpha, beta, -(s ** alpha))
+             for alpha in (0.05, 0.3, 0.5, 0.9, 0.98, 1.2, 1.5, 1.9)
+             for beta in (0.3, alpha, 1.0, 2.5, 4.0)
+             for s in (1e-3, 0.05, *np.geomspace(0.5, 60.0, 7))]
+    # a point of criterion 2's grid (s = 34.19) and two tiny orders
+    cases += [(0.98, 0.98, -np.geomspace(1e-3, 50.0, 49)[46]),
+              (0.015, 0.015, -(34.0 ** 0.015)), (0.005, 1.0, -(34.0 ** 0.005))]
+    for alpha, beta, x in cases:
+        assert mittag_leffler(alpha, beta, x) == pytest.approx(
+            ref(alpha, beta, x), rel=2e-12, abs=0.0)
+
+
+def test_large_argument_expansion_above_alpha_one():
+    # E_{a,b}(x) = -sum_k x^-k / Gamma(b - a k) + (1/a) sum_+- s*^(1-b) e^s*
+    # with s* = |x|^(1/a) e^(+-i pi/a); the k > 15 terms are below 1e-50 here
+    k = np.arange(1, 16, dtype=np.float64)
+    for alpha in (1.2, 1.5, 1.8):
+        for beta in (1.0, alpha, 2.5):
+            for x in (-5.2e3, -3.2e4, -2e5):
+                star = cmath.rect((-x) ** (1.0 / alpha), math.pi / alpha)
+                want = (-float(np.sum(x ** -k * rgamma(beta - alpha * k)))
+                        + 2.0 / alpha * (star ** (1.0 - beta) * cmath.exp(star)).real)
+                assert abs(mittag_leffler(alpha, beta, x) - want) <= 1e-13
+
+
+def test_criterion_2_grid_does_not_load_mpmath():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from fracback.mlf import mittag_leffler\n"
+        "for alpha in np.linspace(0.02, 0.98, 50):\n"
+        "    for x in np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 49)]):\n"
+        "        mittag_leffler(alpha, 1.0, -x)\n"
+        "        mittag_leffler(alpha, alpha, -x)\n"
+        "assert 'mpmath' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(fracback.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": path})
 
 
 # ---------------------------------------------------------------------------
