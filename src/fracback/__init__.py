@@ -9,7 +9,7 @@ Mittag-Leffler oracle for verification.
 
 from fracback.grid import Mesh, build_interval_mesh, build_square_mesh
 from fracback.fem import FemSystem, GridFunction, assemble, l2_project, l2_norm, l2_error, neg_norm
-from fracback.cq import CqWeights, cq_weights, scalar_terminal_factor
+from fracback.cq import cq_weights, scalar_terminal_factor
 from fracback.mlf import (
     MlParams,
     SpectralField,
@@ -18,7 +18,7 @@ from fracback.mlf import (
     spectral_backward_linear,
     sample_on_mesh,
 )
-from fracback.forward import Nonlinearity, TimeGrid, Trajectory, get_nonlinearity, solve_forward, apply_F, apply_S
+from fracback.forward import Nonlinearity, TimeGrid, get_nonlinearity, solve_forward, apply_F, apply_S
 from fracback.backward import (
     BackwardConfig,
     ReconstructionResult,
@@ -42,7 +42,6 @@ __all__ = [
     "l2_norm",
     "l2_error",
     "neg_norm",
-    "CqWeights",
     "cq_weights",
     "scalar_terminal_factor",
     "MlParams",
@@ -53,7 +52,6 @@ __all__ = [
     "sample_on_mesh",
     "Nonlinearity",
     "TimeGrid",
-    "Trajectory",
     "get_nonlinearity",
     "solve_forward",
     "apply_F",

@@ -19,7 +19,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 from typing import Optional
 
@@ -242,8 +242,8 @@ def _clean_observation(res: ResolvedSpec, coarse: Optional[FemSystem] = None):
     u0_fine = l2_project(fine, data.func, subdivide=data.subdivide)
     grid_ref = TimeGrid(T=res.T, N=res.N_ref, alpha=res.alpha)
     f = get_nonlinearity(spec.nonlinearity)
-    traj = solve_forward(fine, grid_ref, u0_fine, f, keep_states=False)
-    full_coarse = restrict_nodal(fine.mesh, coarse.mesh, traj.terminal.full_values())
+    terminal = solve_forward(fine, grid_ref, u0_fine, f)[-1]
+    full_coarse = restrict_nodal(fine.mesh, coarse.mesh, fine.full_values(terminal))
     g_clean = GridFunction(coarse, full_coarse[coarse.interior_ids])
     return coarse, g_clean
 
@@ -318,13 +318,12 @@ def _run_single(spec: ExperimentSpec, *, paper_scale: bool = False,
         "F_bound": result.propagator["bound"],
         "update_ratios": result.update_ratios,
     }
-    return row, result, coarse
+    return row, result
 
 
 def run_reconstruction(spec: ExperimentSpec, *, paper_scale: bool = False) -> dict:
     """Full pipeline for one spec; returns the summary row."""
-    row, _, _ = _run_single(spec, paper_scale=paper_scale)
-    return row
+    return _run_single(spec, paper_scale=paper_scale)[0]
 
 
 def _derived_seed(master: int, row_index: int, rep: int) -> int:
@@ -332,11 +331,9 @@ def _derived_seed(master: int, row_index: int, rep: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _replace_spec(spec: ExperimentSpec, alpha: float, delta: float) -> ExperimentSpec:
-    d = spec.to_dict()
-    d["alpha"] = alpha
-    d["noise"] = dict(d["noise"], delta=delta)
-    return ExperimentSpec.from_dict(d)
+def _cell_tag(alpha: float, delta: float) -> str:
+    """File-name tag of an (alpha, delta) cell, e.g. a0p5_d0p0125."""
+    return f"a{alpha:g}_d{delta:g}".replace(".", "p")
 
 
 def run_table(spec: ExperimentSpec, deltas, alphas=None, *,
@@ -365,7 +362,7 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None, *,
     threads = max(1, int(os.environ.get("FRACBACK_THREADS", "1")))
     jobs = []
     for row_index, alpha, delta in cells:
-        cell_spec = _replace_spec(spec, alpha, delta)
+        cell_spec = replace(spec, alpha=alpha, noise=replace(spec.noise, delta=delta))
         seeds = [_derived_seed(spec.noise.seed, row_index, r)
                  for r in range(spec.repetitions)]
         jobs.append((cell_spec, seeds, paper_scale))
@@ -402,7 +399,7 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None, *,
         rows.extend(cell_rows)
         errors[row_index // len(deltas), row_index % len(deltas)] = float(
             np.mean([r["e_u"] for r in cell_rows]))
-        tag = f"a{alpha:g}_d{delta:g}".replace(".", "p")
+        tag = _cell_tag(alpha, delta)
         write_field_csv(field_gf, out_dir / f"field_u0hat_{tag}.csv")
         _write_history_csv(hist, out_dir / f"history_{tag}.csv")
         if not quiet:
@@ -443,8 +440,8 @@ def _table_cell(job, systems):
     first_field = None
     first_hist = None
     for rep, seed in enumerate(seeds):
-        row, result, _ = _run_single(cell_spec, paper_scale=paper_scale, seed=seed,
-                                     clean=g_clean)
+        row, result = _run_single(cell_spec, paper_scale=paper_scale, seed=seed,
+                                  clean=g_clean)
         cell_rows.append(row)
         if rep == 0:
             first_field = result.u0_hat
@@ -460,11 +457,10 @@ def _table_cells(jobs):
 
 def run_iteration_history(spec: ExperimentSpec, *, paper_scale: bool = False):
     """One reconstruction with per-iteration error logging; writes history CSV."""
-    row, result, _ = _run_single(spec, paper_scale=paper_scale)
+    row, result = _run_single(spec, paper_scale=paper_scale)
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tag = f"a{spec.alpha:g}_d{spec.noise.delta:g}".replace(".", "p")
-    path = out_dir / f"history_{tag}.csv"
+    path = out_dir / f"history_{_cell_tag(spec.alpha, spec.noise.delta)}.csv"
     _write_history_csv(result.history, path)
     return row, result.history, str(path)
 

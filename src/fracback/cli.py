@@ -128,7 +128,7 @@ def _cmd_params(args) -> int:
 
 def _cmd_forward(args) -> int:
     from fracback.bench import _assemble, get_initial_data
-    from fracback.fem import l2_project
+    from fracback.fem import GridFunction, l2_project
     from fracback.forward import TimeGrid, get_nonlinearity, solve_forward
 
     spec = _load_spec(args)
@@ -137,12 +137,11 @@ def _cmd_forward(args) -> int:
     data = get_initial_data(spec.initial_data, res.dim)
     u0 = l2_project(sys_c, data.func, subdivide=data.subdivide)
     grid = TimeGrid(T=res.T, N=res.N, alpha=res.alpha)
-    traj = solve_forward(sys_c, grid, u0, get_nonlinearity(spec.nonlinearity),
-                         keep_states=False)
+    hist = solve_forward(sys_c, grid, u0, get_nonlinearity(spec.nonlinearity))
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     field_path = out / "field_terminal.csv"
-    write_field_csv(traj.terminal, field_path)
+    write_field_csv(GridFunction(sys_c, hist[-1]), field_path)
     manifest = dict(alpha=res.alpha, T=res.T, N=res.N, tau=res.tau,
                     mesh=sys_c.mesh.meta())
     man_path = out / "manifest.json"
@@ -157,7 +156,7 @@ def _cmd_forward(args) -> int:
 
 def _cmd_backward(args) -> int:
     spec = _load_spec(args)
-    row, result, _ = _run_single(spec, paper_scale=args.paper_scale)
+    row, result = _run_single(spec, paper_scale=args.paper_scale)
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     field_path = out / "field_u0hat.csv"

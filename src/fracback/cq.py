@@ -11,29 +11,19 @@ memory for one Toeplitz slice of the weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg.blas import dgemm
 
 BLOCK = 32
 
 
-@dataclass(frozen=True)
-class CqWeights:
-    """CQ-BE weight sequence w[j] = (-1)^j binom(alpha, j), j = 0..N."""
+def cq_weights(alpha: float, N: int) -> np.ndarray:
+    """CQ-BE weights w[j] = (-1)^j binom(alpha, j), j = 0..N, read-only.
 
-    alpha: float
-    N: int
-    w: np.ndarray
-
-    def partial_sums(self) -> np.ndarray:
-        """s_j = sum_{i<=j} w[i]; positive, decreasing to 0."""
-        return np.cumsum(self.w)
-
-
-def cq_weights(alpha: float, N: int) -> CqWeights:
-    """Generate the CQ-BE weights by the recurrence w[j] = w[j-1](j-1-alpha)/j."""
+    Generated by the recurrence w[j] = w[j-1](j-1-alpha)/j.  Their partial
+    sums s_j = sum_{i<=j} w[i] (``np.cumsum(w)``) are positive and
+    decrease to 0.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"fractional order must lie in (0, 1), got {alpha}")
     if N < 1:
@@ -43,7 +33,7 @@ def cq_weights(alpha: float, N: int) -> CqWeights:
     j = np.arange(1, N + 1, dtype=np.float64)
     w[1:] = np.cumprod((j - 1.0 - alpha) / j)
     w.setflags(write=False)
-    return CqWeights(alpha=alpha, N=N, w=w)
+    return w
 
 
 def march(w: np.ndarray, hist: np.ndarray, step) -> np.ndarray:
@@ -87,8 +77,8 @@ def scalar_terminal_factor(alpha: float, T: float, N: int, lam, u0=1.0, source=N
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     tau = T / N
-    wts = cq_weights(alpha, N)
-    w, s = wts.w, wts.partial_sums()
+    w = cq_weights(alpha, N)
+    s = np.cumsum(w)
     ta = tau ** (-alpha)
     U = np.empty((N + 1, lam.size))
     U[0] = u0

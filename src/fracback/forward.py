@@ -87,15 +87,6 @@ class TimeGrid:
         return self.T / self.N
 
 
-@dataclass
-class Trajectory:
-    """States U^0..U^N of one forward solve (terminal-only keeps just U^N)."""
-
-    grid: TimeGrid
-    states: list
-    terminal: GridFunction
-
-
 class BandCholesky:
     """Cholesky factor of a sparse SPD matrix, kept in LAPACK band storage.
 
@@ -145,9 +136,8 @@ class _StepWorkspace:
         tau_a = grid.tau ** (-grid.alpha)
         self.tau_a = tau_a
         self.solver = splu(tau_a * sys.M + sys.K)
-        wts = cq_weights(grid.alpha, grid.N)
-        self.w = wts.w
-        self.s = wts.partial_sums()
+        self.w = cq_weights(grid.alpha, grid.N)
+        self.s = np.cumsum(self.w)
 
 
 def _workspace(sys: FemSystem, grid: TimeGrid) -> _StepWorkspace:
@@ -156,15 +146,16 @@ def _workspace(sys: FemSystem, grid: TimeGrid) -> _StepWorkspace:
 
 
 def solve_forward(sys: FemSystem, grid: TimeGrid, u0: GridFunction,
-                  f: Nonlinearity, *, keep_states: bool = True) -> Trajectory:
+                  f: Nonlinearity) -> np.ndarray:
     """March the linearized fully discrete scheme from U^0 = u0 to U^N.
 
     Step n solves (tau^-a M + K) U^n = M f(U^{n-1})
                                        - tau^-a M [sum_j w_j U^{n-j} - s_n U^0].
+    Returns the C-contiguous (N+1) x d state array whose row n is U^n.
     The history sum comes from :func:`fracback.cq.march`, which accumulates
-    it blockwise in the (N+1) x d state array; beyond that array a solve
-    needs O(N * cq.BLOCK) memory.  A non-finite state raises
-    :class:`NumericalFailure` before it enters the history.
+    it blockwise in that array; beyond it a solve needs O(N * cq.BLOCK)
+    memory.  A non-finite state raises :class:`NumericalFailure` before it
+    enters the history.
     """
     if u0.system is not sys:
         raise ValueError("initial data defined on a different system")
@@ -183,16 +174,12 @@ def solve_forward(sys: FemSystem, grid: TimeGrid, u0: GridFunction,
             raise NumericalFailure(f"forward step {n} produced non-finite values")
         return u
 
-    march(ws.w, hist, step)
-    terminal = GridFunction(sys, hist[N].copy())
-    states = [GridFunction(sys, hist[n].copy()) for n in range(N + 1)] if keep_states else []
-    return Trajectory(grid=grid, states=states, terminal=terminal)
+    return march(ws.w, hist, step)
 
 
 def apply_F(sys: FemSystem, grid: TimeGrid, v: GridFunction) -> GridFunction:
     """Discrete homogeneous solution operator: terminal state with f = 0."""
-    traj = solve_forward(sys, grid, v, get_nonlinearity("zero"), keep_states=False)
-    return traj.terminal
+    return apply_S(sys, grid, v, get_nonlinearity("zero"))
 
 
 def resolvent_bound(sys: FemSystem, grid: TimeGrid) -> float:
@@ -246,6 +233,8 @@ def apply_F_series(sys: FemSystem, grid: TimeGrid, v: GridFunction,
 
 def apply_S(sys: FemSystem, grid: TimeGrid, v: GridFunction,
             f: Nonlinearity) -> GridFunction:
-    """Discrete semilinear solution operator: terminal state of the full scheme."""
-    traj = solve_forward(sys, grid, v, f, keep_states=False)
-    return traj.terminal
+    """Discrete semilinear solution operator: terminal state of the full scheme.
+
+    U^N is copied out of the history, so the result does not keep it alive.
+    """
+    return GridFunction(sys, solve_forward(sys, grid, v, f)[-1].copy())

@@ -8,7 +8,7 @@ mesh(n) nodes are a subset of mesh(r*n) nodes for any integer r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +18,7 @@ class Mesh:
     """P1 mesh of (0,1) or (0,1)^2 with Dirichlet boundary classification.
 
     Nodes are ordered lexicographically by (y, x); elements are index
-    pairs (1D) or counterclockwise triangles (2D).  ``interior_index``
-    maps a node id to its interior-dof id, or -1 on the boundary.
+    pairs (1D) or counterclockwise triangles (2D).
     """
 
     dim: int
@@ -27,7 +26,6 @@ class Mesh:
     nodes: np.ndarray
     elements: np.ndarray
     boundary_mask: np.ndarray
-    interior_index: np.ndarray = field(repr=False)
 
     @property
     def h(self) -> float:
@@ -71,14 +69,11 @@ def _finalize(dim, n, nodes, elements):
         on_boundary = (nodes[:, 0] == 0.0) | (nodes[:, 0] == 1.0)
     else:
         on_boundary = np.any((nodes == 0.0) | (nodes == 1.0), axis=1)
-    interior_index = np.full(nodes.shape[0], -1, dtype=np.int64)
-    interior_index[~on_boundary] = np.arange((~on_boundary).sum())
     nodes.setflags(write=False)
     elements.setflags(write=False)
     on_boundary.setflags(write=False)
-    interior_index.setflags(write=False)
     return Mesh(dim=dim, n=n, nodes=nodes, elements=elements,
-                boundary_mask=on_boundary, interior_index=interior_index)
+                boundary_mask=on_boundary)
 
 
 def build_interval_mesh(n: int) -> Mesh:

@@ -23,7 +23,7 @@ from fracback.fem import (
     l2_error,
     l2_norm,
 )
-from fracback.forward import TimeGrid, apply_F, get_nonlinearity, solve_forward
+from fracback.forward import TimeGrid, apply_F, apply_S, get_nonlinearity
 from fracback.grid import build_interval_mesh
 
 
@@ -109,7 +109,7 @@ def test_series_reconstruction_matches_stepping(monkeypatch, sys16, grid):
     f = get_nonlinearity("L_sqrt1pu2:0.5")
     x = sys16.interior_coords()[:, 0]
     truth = GridFunction(sys16, np.sin(2 * np.pi * x))
-    g = solve_forward(sys16, grid, truth, f, keep_states=False).terminal
+    g = apply_S(sys16, grid, truth, f)
     runs = {}
     for fast_path in ("auto", "off"):
         cfg = BackwardConfig(gamma=1e-3, fast_path=fast_path)
@@ -206,7 +206,7 @@ def test_fixed_point_semilinear_contracts(sys16, grid):
     f = get_nonlinearity("L_sqrt1pu2:0.5")
     x = sys16.interior_coords()[:, 0]
     truth = GridFunction(sys16, np.sin(2 * np.pi * x))
-    g = solve_forward(sys16, grid, truth, f, keep_states=False).terminal
+    g = apply_S(sys16, grid, truth, f)
     cfg = BackwardConfig(gamma=1e-5)
     res = fixed_point_reconstruct(sys16, grid, g, f, cfg, truth=truth)
     assert res.converged
@@ -224,7 +224,7 @@ def test_fixed_point_divergence_flag(sys16):
     f = get_nonlinearity("L_sqrt1pu2:30")
     x = sys16.interior_coords()[:, 0]
     truth = GridFunction(sys16, np.sin(2 * np.pi * x))
-    g = solve_forward(sys16, grid_long, truth, f, keep_states=False).terminal
+    g = apply_S(sys16, grid_long, truth, f)
     cfg = BackwardConfig(gamma=1e-5, fp_max=60)
     res = fixed_point_reconstruct(sys16, grid_long, g, f, cfg, truth=truth)
     assert res.diverged and not res.converged

@@ -22,17 +22,17 @@ def loggamma_weights(alpha, N):
 
 
 def test_weights_alpha_half():
-    w = cq_weights(0.5, 4).w
+    w = cq_weights(0.5, 4)
     assert np.allclose(w, [1.0, -0.5, -0.125, -0.0625, -0.0390625], atol=1e-15)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_first_weight_is_minus_alpha(alpha):
-    assert cq_weights(alpha, 2).w[1] == pytest.approx(-alpha, abs=1e-15)
+    assert cq_weights(alpha, 2)[1] == pytest.approx(-alpha, abs=1e-15)
 
 
 def test_recurrence_matches_loggamma_formula():
-    w = cq_weights(0.3, 60).w
+    w = cq_weights(0.3, 60)
     ref = loggamma_weights(0.3, 60)
     rel = np.abs(w - ref) / np.maximum(1.0, np.abs(ref))
     assert rel.max() < 1e-13
@@ -41,7 +41,7 @@ def test_recurrence_matches_loggamma_formula():
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_weights_against_loggamma_long(alpha):
     N = 2000
-    w = cq_weights(alpha, N).w
+    w = cq_weights(alpha, N)
     ref = loggamma_weights(alpha, N)
     assert np.max(np.abs(w - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
 
@@ -50,7 +50,7 @@ def test_weights_against_loggamma_long(alpha):
 def test_partial_sum_identity(alpha):
     # sum_{j<=N} w_j = (-1)^N binom(alpha-1, N), compared through log-Gamma
     N = 2000
-    s = cq_weights(alpha, N).partial_sums()
+    s = np.cumsum(cq_weights(alpha, N))
     ln_mag = gammaln(N + 1.0 - alpha) - gammaln(N + 1.0) - gammaln(1.0 - alpha)
     ref = np.exp(ln_mag)   # positive for alpha in (0,1)
     assert abs(s[-1] - ref) / ref < 1e-11
@@ -59,8 +59,8 @@ def test_partial_sum_identity(alpha):
 @given(alpha=st.floats(0.05, 0.95), N=st.integers(1, 400))
 @settings(max_examples=60, deadline=None)
 def test_weight_invariants(alpha, N):
-    wts = cq_weights(alpha, N)
-    w, s = wts.w, wts.partial_sums()
+    w = cq_weights(alpha, N)
+    s = np.cumsum(w)
     assert w[0] == 1.0
     assert np.all(w[1:] < 0.0)
     assert np.all(np.diff(np.abs(w[1:])) <= 1e-18)   # |w_j| nonincreasing
@@ -103,8 +103,8 @@ def naive_march(w, hist, step):
 def test_blocked_march_equals_naive(N, d, alpha, lagged, seed):
     # the scalar-mode CQ-BE step, with or without a lagged source f(u_{n-1})
     rng = np.random.default_rng(seed)
-    wts = cq_weights(alpha, N)
-    w, s = wts.w, wts.partial_sums()
+    w = cq_weights(alpha, N)
+    s = np.cumsum(w)
     ta = (1.0 / N) ** (-alpha)
     denom = ta + rng.uniform(1.0, 1e3, d)
     u0 = rng.standard_normal(d)
@@ -125,7 +125,7 @@ def test_blocked_march_equals_naive(N, d, alpha, lagged, seed):
 
 
 def test_march_rejects_non_contiguous_history():
-    w = cq_weights(0.5, 40).w
+    w = cq_weights(0.5, 40)
     with pytest.raises(ValueError):
         march(w, np.zeros((41, 3), order="F"), lambda n, conv: conv)
 

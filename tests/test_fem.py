@@ -196,7 +196,7 @@ def test_neg_norm_lowest_mode():
     u = GridFunction(sys, phi[:, 0].copy())
     mu = 0.7
     want = l2_norm(sys, u) * lam[0] ** (-mu / 2)
-    assert neg_norm(sys, u, mu) == pytest.approx(want, rel=1e-12)
+    assert neg_norm(sys, u, mu) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_neg_norm_validates_mu(sys1d):

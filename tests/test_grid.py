@@ -10,7 +10,6 @@ def test_interval_counts():
     assert m.num_elements == 2
     assert np.allclose(m.nodes.ravel(), [0.0, 0.5, 1.0])
     assert m.num_interior == 1
-    assert m.interior_index[1] == 0
 
     m4 = build_interval_mesh(4)
     assert m4.num_nodes == 5
@@ -67,9 +66,6 @@ def test_boundary_classification():
     on_edge = np.any((m.nodes == 0.0) | (m.nodes == 1.0), axis=1)
     assert np.array_equal(m.boundary_mask, on_edge)
     assert m.num_interior == 9
-    # interior ids are consecutive in node order
-    ids = m.interior_index[m.interior_index >= 0]
-    assert np.array_equal(np.sort(ids), np.arange(9))
 
 
 def test_restrict_nodal_roundtrip():
