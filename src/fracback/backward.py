@@ -7,7 +7,11 @@ homogeneous solution map F^N is self-adjoint positive definite.  A
 
 * "spectral" - the dense eigenbasis of (K, M) weighted by the CQ symbol
   r_N(lam_h); exact, with an O(d^3) set-up, up to
-  :data:`fracback.fem.DENSE_CAP` dofs;
+  :data:`fracback.fem.DENSE_CAP` dofs.  It works in the coordinates of
+  that M-orthonormal basis, where gamma I + F^N is the diagonal
+  gamma + r_N(lam_h) and the mass inner product is the Euclidean one, so
+  a CG iteration costs O(d); the data is mapped in and the result out
+  once per solve;
 * "series"   - F^N = r_N(A) for the step resolvent A = (tau^-a M + K)^-1 M,
   in which r_N is a polynomial of degree N; a Chebyshev series of a few
   terms, whose dropped tail is below gamma * cg_tol, is applied with the
@@ -102,6 +106,14 @@ class Propagator:
     unless "series", where it is also the number of solves per
     application) and ``bound`` the recorded truncation bound:
     ||F^N v - applied v||_M <= bound * ||v||_M up to rounding.
+
+    :meth:`apply_values` and :meth:`dot` act in the propagator's
+    coordinates: :meth:`coords` maps nodal values into them and
+    :meth:`values` maps back.  For "spectral" these are the coefficients
+    c = Phi^T M v in the M-orthonormal eigenbasis Phi, in which F^N is the
+    diagonal r_N(lam_h) and the mass inner product is the Euclidean one;
+    for "series" and "stepping" they are the nodal values themselves, with
+    the mass inner product.
     """
 
     def __init__(self, sys: FemSystem, grid: TimeGrid, mode: str, *,
@@ -138,28 +150,42 @@ class Propagator:
     def describe(self) -> dict:
         return {"mode": self.mode, "degree": self.degree, "bound": self.bound}
 
-    def apply_values(self, v: np.ndarray) -> np.ndarray:
+    def coords(self, v: np.ndarray) -> np.ndarray:
+        """Nodal values -> propagator coordinates."""
         if self.mode == "spectral":
-            coeff = self.phi.T @ (self.sys.M @ v)
-            return self.phi @ (self.symbol * coeff)
-        v = GridFunction(self.sys, v)
+            return self.phi.T @ (self.sys.M @ v)
+        return v
+
+    def values(self, c: np.ndarray) -> np.ndarray:
+        """Propagator coordinates -> nodal values."""
+        if self.mode == "spectral":
+            return self.phi @ c
+        return c
+
+    def dot(self, u: np.ndarray, v: np.ndarray) -> float:
+        """Mass inner product of two vectors given in propagator coordinates."""
+        if self.mode == "spectral":
+            return float(u @ v)
+        return float(u @ (self.sys.M @ v))
+
+    def apply_values(self, c: np.ndarray) -> np.ndarray:
+        """F^N in propagator coordinates."""
+        if self.mode == "spectral":
+            return self.symbol * c
+        v = GridFunction(self.sys, c)
         if self.mode == "series":
             return apply_F_series(self.sys, self.grid, v, self.coeffs).values
         return apply_F(self.sys, self.grid, v).values
 
 
-def _solve_regularized(prop: Propagator, rhs_values: np.ndarray,
-                       cfg: BackwardConfig):
-    M = prop.sys.M
+def _solve_regularized(prop: Propagator, rhs: np.ndarray, cfg: BackwardConfig):
+    """CG for (gamma I + F^N) x = rhs; rhs and x in propagator coordinates."""
 
-    def dot(u, v):
-        return float(u @ (M @ v))
+    def apply_op(c):
+        return cfg.gamma * c + prop.apply_values(c)
 
-    def apply_op(v):
-        return cfg.gamma * v + prop.apply_values(v)
-
-    return conjugate_gradient(apply_op, rhs_values, tol=cfg.cg_tol,
-                              maxiter=cfg.cg_max, dot=dot,
+    return conjugate_gradient(apply_op, rhs, tol=cfg.cg_tol,
+                              maxiter=cfg.cg_max, dot=prop.dot,
                               context="regularized backward solve")
 
 
@@ -169,8 +195,8 @@ def solve_linear_regularized(sys: FemSystem, grid: TimeGrid, rhs: GridFunction,
     if rhs.system is not sys:
         raise ValueError("right-hand side defined on a different system")
     prop = Propagator.for_config(sys, grid, cfg)
-    x, _ = _solve_regularized(prop, rhs.values, cfg)
-    return GridFunction(sys, x)
+    x, _ = _solve_regularized(prop, prop.coords(rhs.values), cfg)
+    return GridFunction(sys, prop.values(x))
 
 
 def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
@@ -190,10 +216,9 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
     if g_obs.system is not sys:
         raise ValueError("observation defined on a different system")
     prop = Propagator.for_config(sys, grid, cfg)
-    M = sys.M
 
-    def m_norm(v):
-        return float(np.sqrt(v @ (M @ v)))
+    def m_norm(c):
+        return math.sqrt(prop.dot(c, c))
 
     if cfg.random_init_seed is None:
         u = np.zeros(sys.num_dofs)
@@ -201,7 +226,11 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
         rng = np.random.default_rng(cfg.random_init_seed)
         u = rng.standard_normal(sys.num_dofs)
 
-    truth_norm = m_norm(truth.values) if truth is not None else None
+    # iterates, data and truth are held in propagator coordinates
+    u = prop.coords(u)
+    g = prop.coords(g_obs.values)
+    truth_c = prop.coords(truth.values) if truth is not None else None
+    truth_norm = m_norm(truth_c) if truth is not None else None
     history = []
     cg_counts = []
     updates = []
@@ -215,17 +244,17 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
         if f.is_zero:
             nonlinear_term = 0.0
         else:
-            s_term = apply_S(sys, grid, GridFunction(sys, u), f).values
+            s_term = apply_S(sys, grid, GridFunction(sys, prop.values(u)), f).values
             f_term = prop.apply_values(u)
-            nonlinear_term = s_term - f_term
+            nonlinear_term = prop.coords(s_term) - f_term
             forward_solves += 2
-        rhs = g_obs.values - nonlinear_term
+        rhs = g - nonlinear_term
         u_next, cg_it = _solve_regularized(prop, rhs, cfg)
         forward_solves += cg_it
         e_j = m_norm(u_next - u)
         updates.append(e_j)
         cg_counts.append(cg_it)
-        err = (m_norm(u_next - truth.values) / truth_norm
+        err = (m_norm(u_next - truth_c) / truth_norm
                if truth is not None and truth_norm else None)
         history.append({"iter": j, "update_norm": e_j, "error_vs_truth": err,
                         "cg_iters": cg_it, "forward_solves": forward_solves})
@@ -243,7 +272,7 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
 
     ratios = [b / a if a > 0.0 else None for a, b in zip(updates, updates[1:])]
     return ReconstructionResult(
-        u0_hat=GridFunction(sys, u), outer_iters=outer, history=history,
+        u0_hat=GridFunction(sys, prop.values(u)), outer_iters=outer, history=history,
         cg_iter_counts=cg_counts, converged=converged, diverged=diverged,
         forward_solves=forward_solves, update_ratios=ratios,
         propagator=prop.describe())

@@ -16,6 +16,7 @@ delta * sup u(T) is added there.  Three noise modes are provided:
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
 import warnings
@@ -34,6 +35,8 @@ from fracback.backward import (
 from fracback.fem import FemSystem, GridFunction, assemble, l2_error, l2_project, write_field_csv
 from fracback.forward import TimeGrid, get_nonlinearity, solve_forward
 from fracback.grid import build_interval_mesh, build_square_mesh, restrict_nodal
+
+log = logging.getLogger(__name__)
 
 _NOISE_MODES = ("paper_pointwise", "paper_scalar", "exact_l2")
 _DESK_REFERENCE = {1: (512, 1000), 2: (128, 500)}
@@ -337,12 +340,13 @@ def _cell_tag(alpha: float, delta: float) -> str:
 
 
 def run_table(spec: ExperimentSpec, deltas, alphas=None, *,
-              paper_scale: bool = False, quiet: bool = True) -> dict:
+              paper_scale: bool = False) -> dict:
     """Sweep (alpha, delta) cells with repetitions; write table/field/history CSVs.
 
     Returns {"alphas", "deltas", "errors" (mean e_u per cell), "orders",
     "rows"}.  Worker count follows FRACBACK_THREADS (default 1); results
-    are written in deterministic row order regardless of schedule.
+    are written in deterministic row order regardless of schedule.  Each
+    finished cell is logged at INFO level on this module's logger.
     """
     deltas = list(deltas)
     if len(deltas) < 2:
@@ -402,9 +406,8 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None, *,
         tag = _cell_tag(alpha, delta)
         write_field_csv(field_gf, out_dir / f"field_u0hat_{tag}.csv")
         _write_history_csv(hist, out_dir / f"history_{tag}.csv")
-        if not quiet:
-            print(f"[table] alpha={alpha:g} delta={delta:g} "
-                  f"e_u={errors[row_index // len(deltas), row_index % len(deltas)]:.4e}")
+        log.info("[table] alpha=%g delta=%g e_u=%.4e", alpha, delta,
+                 errors[row_index // len(deltas), row_index % len(deltas)])
 
     orders = []
     for ai in range(len(alphas)):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import re
 import sys
 from pathlib import Path
@@ -191,8 +192,7 @@ def _cmd_table(args) -> int:
         raise ValueError("table needs --deltas with at least two decreasing values")
     deltas = [float(v) for v in args.deltas.split(",")]
     alphas = [float(v) for v in args.alphas.split(",")] if args.alphas else None
-    table = run_table(spec, deltas, alphas, paper_scale=args.paper_scale,
-                      quiet=args.quiet)
+    table = run_table(spec, deltas, alphas, paper_scale=args.paper_scale)
     out = Path(spec.output_dir)
     print(f"table: {len(table['rows'])} runs, wrote {out / 'table.csv'}")
     return 0
@@ -215,6 +215,14 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    # the package's log records go to stderr for this command, at INFO
+    # level unless --quiet
+    log = logging.getLogger("fracback")
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.WARNING if getattr(args, "quiet", False) else logging.INFO)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError) as exc:
@@ -223,6 +231,9 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

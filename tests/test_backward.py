@@ -20,11 +20,12 @@ from fracback.fem import (
     NumericalFailure,
     UnsupportedSize,
     assemble,
+    conjugate_gradient,
     l2_error,
     l2_norm,
 )
 from fracback.forward import TimeGrid, apply_F, apply_S, get_nonlinearity
-from fracback.grid import build_interval_mesh
+from fracback.grid import build_interval_mesh, build_square_mesh
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +66,48 @@ def test_regularized_solve_matches_spectral_inverse(sys16, grid, fast_path):
     x = solve_linear_regularized(sys16, grid, GridFunction(sys16, rhs), cfg)
     ref = phi @ ((phi.T @ (sys16.M @ rhs)) / (gamma + rN))
     assert np.max(np.abs(x.values - ref)) / np.max(np.abs(ref)) < 1e-8
+
+
+@pytest.mark.parametrize("dim, n", [(1, 40), (2, 12)])
+@pytest.mark.parametrize("alpha", [0.1, 0.9])
+def test_spectral_cg_in_eigen_coordinates_matches_nodal_cg(monkeypatch, dim, n, alpha):
+    # the spectral propagator's CG runs on the diagonal gamma + r_N in
+    # eigen-coordinates; the nodal CG in the mass inner product, as it ran
+    # before, is the reference: both reach the exact regularized inverse
+    sys = assemble(build_interval_mesh(n) if dim == 1 else build_square_mesh(n))
+    grid = TimeGrid(T=1.0, N=40, alpha=alpha)
+    cfg = BackwardConfig(gamma=1e-3)
+    prop = Propagator.for_config(sys, grid, cfg)
+    assert prop.mode == "spectral"
+    lam, phi = sys.eigenpairs()
+    rN = scalar_terminal_factor(alpha, grid.T, grid.N, lam)
+    M = sys.M
+    rhs = np.random.default_rng(11).standard_normal(sys.num_dofs)
+    exact = phi @ ((phi.T @ (M @ rhs)) / (cfg.gamma + rN))
+
+    nodal, nodal_it = conjugate_gradient(
+        lambda v: cfg.gamma * v + phi @ (rN * (phi.T @ (M @ v))), rhs,
+        tol=cfg.cg_tol, maxiter=cfg.cg_max, dot=lambda u, v: float(u @ (M @ v)))
+    coeff, it = backward._solve_regularized(prop, prop.coords(rhs), cfg)
+    spectral = prop.values(coeff)
+    for x in (nodal, spectral):
+        assert np.max(np.abs(x - exact)) / np.max(np.abs(exact)) < 1e-8
+    assert abs(it - nodal_it) <= 1
+
+    # one F^N application per CG iteration plus the f_term of each pass
+    calls = []
+    apply_values = Propagator.apply_values
+
+    def counted(self, c):
+        calls.append(1)
+        return apply_values(self, c)
+
+    monkeypatch.setattr(Propagator, "apply_values", counted)
+    f = get_nonlinearity("L_sqrt1pu2:0.5")
+    truth = GridFunction(sys, phi[:, 0].copy())
+    res = fixed_point_reconstruct(sys, grid, apply_S(sys, grid, truth, f), f, cfg)
+    assert res.converged and res.propagator["mode"] == "spectral"
+    assert len(calls) == res.outer_iters + sum(res.cg_iter_counts)
 
 
 def test_dense_cap_is_honoured(monkeypatch, grid):

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import gc
 import json
+import logging
 import weakref
 
 import numpy as np
@@ -255,6 +256,15 @@ def test_run_table_shapes_and_orders(tmp_path):
     assert (tmp_path / "manifest.json").exists()
     assert len(list(tmp_path.glob("field_u0hat_*.csv"))) == 4
     assert len(list(tmp_path.glob("history_*.csv"))) == 4
+
+
+def test_run_table_logs_one_record_per_cell(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="fracback.bench")
+    run_table(small_spec(output_dir=str(tmp_path)), deltas=[2e-3, 1e-3], alphas=[0.4, 0.6])
+    records = [r for r in caplog.records if r.name == "fracback.bench"]
+    assert [r.getMessage().split(" e_u=")[0] for r in records] == [
+        f"[table] alpha={a} delta={d}" for a in (0.4, 0.6) for d in (0.002, 0.001)]
+    assert all(r.levelno == logging.INFO for r in records)
 
 
 def test_run_table_validation(tmp_path):

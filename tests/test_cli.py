@@ -92,6 +92,15 @@ def test_table_end_to_end(tmp_path, capsys):
     assert code == 0
     table = (tmp_path / "out" / "table.csv").read_text()
     assert table.splitlines()[0] == "alpha,metric,delta=0.002,delta=0.001"
+    assert capsys.readouterr().err == ""      # --quiet: no per-cell log lines
+
+
+def test_table_logs_cells_unless_quiet(tmp_path, capsys):
+    cfg = write_config(tmp_path, repetitions=1)
+    assert main(["table", "--config", str(cfg), "--deltas", "0.002,0.001"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(" e_u=")[0] for line in lines] == [
+        "[table] alpha=0.5 delta=0.002", "[table] alpha=0.5 delta=0.001"]
 
 
 def test_table_idempotent_bytes(tmp_path):
