@@ -161,7 +161,20 @@ def test_series_reconstruction_matches_stepping(monkeypatch, sys16, grid):
     assert series.propagator["mode"] == "series"
     assert stepping.propagator["mode"] == "stepping"
     assert series.outer_iters == stepping.outer_iters
-    assert series.cg_iter_counts == stepping.cg_iter_counts
+    # a CG solve stops on a relative residual that rounding decides (the
+    # first solve's 9th reads 4e-11 to 6e-10 against cg_tol = 1e-10 across
+    # step factors agreeing to 1e-14), so a pass may take one more iteration
+    assert all(abs(a - b) <= 1 for a, b in
+               zip(series.cg_iter_counts, stepping.cg_iter_counts, strict=True))
+    # each final CG solve of (gamma I + F^N) x = rhs leaves an M-norm error
+    # of at most cg_tol ||rhs||_M / gamma, with ||rhs||_M <= (gamma + 1) ||x||_M
+    # as ||F^N|| <= 1; both runs' errors, carried through a fixed-point map
+    # that contracts by q, bound the distance between their iterates
+    q = max(stepping.update_ratios)
+    norm_u = l2_norm(sys16, stepping.u0_hat)
+    bound = 2.0 * cfg.cg_tol * (1.0 + cfg.gamma) / cfg.gamma * norm_u / (1.0 - q)
+    diff = GridFunction(sys16, series.u0_hat.values - stepping.u0_hat.values)
+    assert l2_norm(sys16, diff) <= bound
     e_series = l2_error(sys16, series.u0_hat, truth, relative=True)
     e_stepping = l2_error(sys16, stepping.u0_hat, truth, relative=True)
     assert abs(e_series - e_stepping) <= 1e-9 * e_stepping
