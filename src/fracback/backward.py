@@ -204,14 +204,16 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
                             truth: Optional[GridFunction] = None) -> ReconstructionResult:
     """Outer fixed-point iteration of the reconstruction algorithm.
 
-    Each pass computes the nonlinear contribution S^N U_j - F^N U_j (two
-    forward solves), then updates U_{j+1} from the regularized linear
-    solve with right-hand side g_obs minus that contribution.  Stops on
-    update norm below ``fp_tol``, on the iteration cap, or on the
-    divergence heuristic (three consecutive update-norm increases, or a
-    1e6-fold blowup over the first update).  The result records the
-    update ratios e_{j+1}/e_j (the observed contraction) and how the
-    propagator applied F^N.
+    Each pass computes the nonlinear contribution S^N U_j - F^N U_j (a
+    nonlinear forward solve and one application of F^N), then updates
+    U_{j+1} from the regularized linear solve with right-hand side g_obs
+    minus that contribution.  Stops on update norm below ``fp_tol``, on
+    the iteration cap, or on the divergence heuristic (three consecutive
+    update-norm increases, or a 1e6-fold blowup over the first update).
+    The result records the update ratios e_{j+1}/e_j (the observed
+    contraction), how the propagator applied F^N, and ``forward_solves``:
+    the N-step forward solves run, one per S^N and one per F^N
+    application by time stepping.
     """
     if g_obs.system is not sys:
         raise ValueError("observation defined on a different system")
@@ -235,6 +237,7 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
     cg_counts = []
     updates = []
     forward_solves = 0
+    stepping = prop.mode == "stepping"
     converged = diverged = False
     consecutive_up = 0
     outer = 0
@@ -247,10 +250,11 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
             s_term = apply_S(sys, grid, GridFunction(sys, prop.values(u)), f).values
             f_term = prop.apply_values(u)
             nonlinear_term = prop.coords(s_term) - f_term
-            forward_solves += 2
+            forward_solves += 2 if stepping else 1
         rhs = g - nonlinear_term
         u_next, cg_it = _solve_regularized(prop, rhs, cfg)
-        forward_solves += cg_it
+        if stepping:
+            forward_solves += cg_it
         e_j = m_norm(u_next - u)
         updates.append(e_j)
         cg_counts.append(cg_it)

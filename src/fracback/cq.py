@@ -41,10 +41,12 @@ def march(w: np.ndarray, hist: np.ndarray, step) -> np.ndarray:
 
     ``hist`` is a C-contiguous (N+1, d) float64 array with ``hist[0]`` set
     and ``w`` holds at least N+1 weights.  ``step`` returns the new state
-    and may read ``hist[:n]``.  The rows not yet written serve as the
-    accumulator: within a block the near terms are added directly, and
-    once block [b0, b1) is final one in-place GEMM adds its contribution
-    w[n-j] hist[j] to every later row n >= b1.  Returns ``hist``.
+    and may read ``hist[:n]``; the sum it is handed is a fresh array that
+    it may overwrite, e.g. to form its right-hand side in place.  The rows
+    not yet written serve as the accumulator: within a block the near
+    terms are added directly, and once block [b0, b1) is final one
+    in-place GEMM adds its contribution w[n-j] hist[j] to every later row
+    n >= b1.  Returns ``hist``.
     """
     # the GEMM accumulates into hist[b1:].T only if that view is Fortran-ordered
     if hist.dtype != np.float64 or not hist.flags.c_contiguous:

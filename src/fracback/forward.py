@@ -4,10 +4,12 @@ Time stepping couples the CQ-BE discrete Caputo derivative with the P1
 stiffness matrix; the nonlinear term is lagged one step (linearized
 scheme), so each step is a single SPD solve with the fixed matrix
 tau^-alpha M + K, factored once per time grid by :class:`BandCholesky`.
+Both the time steps and the series below go through one kernel, the step
+resolvent z -> (tau^-alpha M + K)^-1 M z: one mass product with rows
+already in the factor's order, one band solve and one gather.
 The homogeneous terminal map v -> U^N is the discrete solution operator,
 applied matrix-free either by one N-step solve (:func:`apply_F`) or by a
-short Chebyshev series in the step resolvent (:func:`apply_F_series`);
-both solve with that one factor.
+short Chebyshev series in the step resolvent (:func:`apply_F_series`).
 """
 
 from __future__ import annotations
@@ -117,27 +119,50 @@ class BandCholesky:
         self.iperm = np.argsort(perm)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x, _ = dpbtrs(self.factor, b[self.perm], overwrite_b=1)
+        return self.solve_permuted(b[self.perm])
+
+    def solve_permuted(self, pb: np.ndarray) -> np.ndarray:
+        """Solve for a right-hand side given in factor order, ``b[perm]``.
+
+        ``pb`` may be overwritten; the solution comes back in the original order.
+        """
+        x, _ = dpbtrs(self.factor, pb, overwrite_b=1)
         return x[self.iperm]
 
 
 # Step factors are built through this module attribute, under the name of
 # the SuperLU factor it replaced: perfbench's tracer and tests/test_bench.py
-# wrap ``forward.splu`` to time and count factorisations.
+# wrap ``forward.splu`` to time and count factorisations.  The tracer also
+# wraps ``forward.load_nonlinear``, imported above for that alone: a step
+# folds the nonlinear load into its one mass product (see solve_forward).
 splu = BandCholesky
 
 
 class _StepWorkspace:
-    """Band Cholesky factor of the step matrix tau^-a M + K and the CQ
-    weights, reused by every solve on one grid: the time steps of
-    :func:`solve_forward` and the series terms of :func:`apply_F_series`."""
+    """The step resolvent of one grid and its CQ weights, reused by every
+    solve on that grid: the time steps of :func:`solve_forward` and the
+    series terms of :func:`apply_F_series`.
+
+    Holds the band Cholesky factor of tau^-a M + K, the mass matrix with its
+    rows in the factor's RCM order, so that :meth:`resolvent` needs no
+    permutation on the way in, and ``boundary`` = (tau^-a M + K)^-1 b_d.
+    b_d sums the interior rows of the full mass matrix over the boundary
+    nodes; it carries the load of a source that is 1 on the boundary trace.
+    """
 
     def __init__(self, sys: FemSystem, grid: TimeGrid):
         tau_a = grid.tau ** (-grid.alpha)
         self.tau_a = tau_a
         self.solver = splu(tau_a * sys.M + sys.K)
+        self.mass = sys.M[self.solver.perm]
+        self.boundary = self.solver.solve(
+            sys.m_coupling @ sys.mesh.boundary_mask.astype(np.float64))
         self.w = cq_weights(grid.alpha, grid.N)
         self.s = np.cumsum(self.w)
+
+    def resolvent(self, z: np.ndarray) -> np.ndarray:
+        """(tau^-a M + K)^-1 M z, as a new array."""
+        return self.solver.solve_permuted(self.mass @ z)
 
 
 def _workspace(sys: FemSystem, grid: TimeGrid) -> _StepWorkspace:
@@ -149,8 +174,13 @@ def solve_forward(sys: FemSystem, grid: TimeGrid, u0: GridFunction,
                   f: Nonlinearity) -> np.ndarray:
     """March the linearized fully discrete scheme from U^0 = u0 to U^N.
 
-    Step n solves (tau^-a M + K) U^n = M f(U^{n-1})
-                                       - tau^-a M [sum_j w_j U^{n-j} - s_n U^0].
+    Step n solves (tau^-a M + K) U^n = M_c f(U^{n-1})
+                                       - tau^-a M [sum_j w_j U^{n-j} - s_n U^0],
+    where M_c holds the interior rows of the full mass matrix, so that f(0)
+    on the boundary nodes enters the load.  f acts pointwise, so
+    M_c f(U) = M f(U) + f(0) b_d, and the step is one resolvent of
+    z = f(U^{n-1}) - tau^-a [...] plus f(0) times the workspace's
+    ``boundary`` response; f is evaluated once per step.
     Returns the C-contiguous (N+1) x d state array whose row n is U^n.
     The history sum comes from :func:`fracback.cq.march`, which accumulates
     it blockwise in that array; beyond it a solve needs O(N * cq.BLOCK)
@@ -164,12 +194,21 @@ def solve_forward(sys: FemSystem, grid: TimeGrid, u0: GridFunction,
     hist = np.empty((N + 1, d))
     hist[0] = u0.values
     homogeneous = f.is_zero
+    # U^{n-1} followed by one zero that stands for every boundary node
+    state = np.zeros(d + 1)
 
     def step(n, conv):
-        rhs = -ws.tau_a * (sys.M @ (conv - ws.s[n] * hist[0]))
-        if not homogeneous:
-            rhs = rhs + load_nonlinear(sys, GridFunction(sys, hist[n - 1]), f)
-        u = ws.solver.solve(rhs)
+        # z is formed in conv, which march hands over for this step only
+        conv -= ws.s[n] * hist[0]
+        conv *= -ws.tau_a
+        if homogeneous:
+            u = ws.resolvent(conv)
+        else:
+            state[:d] = hist[n - 1]
+            fu = f(state)
+            conv += fu[:d]
+            u = ws.resolvent(conv)
+            u += fu[d] * ws.boundary
         if not np.all(np.isfinite(u)):
             raise NumericalFailure(f"forward step {n} produced non-finite values")
         return u
@@ -208,10 +247,9 @@ def apply_F_series(sys: FemSystem, grid: TimeGrid, v: GridFunction,
     the head c[:m] of :func:`terminal_series`, the difference from
     :func:`apply_F` in the M-norm is at most the dropped tail times
     ||v||_M, plus rounding.  Clenshaw's recurrence applies X m-1 times,
-    each one mass product and one solve with the band Cholesky factor
-    that time stepping uses on the same grid, and keeps
-    three vectors instead of the (N+1) x d history.  A non-finite result
-    raises :class:`NumericalFailure`.
+    each one step resolvent, the kernel time stepping uses on the same
+    grid, and keeps three vectors instead of the (N+1) x d history.  A
+    non-finite result raises :class:`NumericalFailure`.
     """
     if v.system is not sys:
         raise ValueError("operand defined on a different system")
@@ -220,11 +258,19 @@ def apply_F_series(sys: FemSystem, grid: TimeGrid, v: GridFunction,
     x = v.values
 
     def X(b):
-        return scale * ws.solver.solve(sys.M @ b) - b
+        # scale * A b - b, formed in the resolvent's new array
+        y = ws.resolvent(b)
+        y *= scale
+        y -= b
+        return y
 
     b1, b2 = coeffs[-1] * x, np.zeros_like(x)
     for ck in coeffs[-2:0:-1]:
-        b1, b2 = ck * x + 2.0 * X(b1) - b2, b1
+        y = X(b1)
+        y *= 2.0
+        y += ck * x
+        y -= b2
+        b1, b2 = y, b1
     out = coeffs[0] * x + X(b1) - b2 if len(coeffs) > 1 else b1
     if not np.all(np.isfinite(out)):
         raise NumericalFailure("series F^N application produced non-finite values")

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rgamma
 
 from fracback.fem import FemSystem, GridFunction, assemble
 from fracback.grid import Mesh
@@ -158,7 +157,10 @@ def mittag_leffler(alpha: float, beta: float, x: float) -> float:
     if x > 0.0:
         raise ValueError(f"only arguments x <= 0 are supported, got {x}")
     if x == 0.0:
-        return float(rgamma(beta))
+        try:
+            return 1.0 / math.gamma(beta)
+        except OverflowError:      # Gamma(beta) > 1.8e308 for beta > 171.6
+            return 0.0
     if alpha == 1.0 and beta == 1.0:
         return float(np.exp(x))
     if alpha == 2.0 and beta == 1.0:

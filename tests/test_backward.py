@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from fracback import backward, fem
+from fracback import backward, fem, forward
 from fracback.backward import (
     BackwardConfig,
     ParameterRangeError,
@@ -178,6 +178,32 @@ def test_series_reconstruction_matches_stepping(monkeypatch, sys16, grid):
     e_series = l2_error(sys16, series.u0_hat, truth, relative=True)
     e_stepping = l2_error(sys16, stepping.u0_hat, truth, relative=True)
     assert abs(e_series - e_stepping) <= 1e-9 * e_stepping
+
+
+@pytest.mark.parametrize("mode, dense_cap, fast_path", [
+    ("spectral", fem.DENSE_CAP, "auto"), ("series", 10, "auto"), ("stepping", fem.DENSE_CAP, "off")])
+def test_forward_solves_counts_n_step_solves(monkeypatch, sys16, grid, mode, dense_cap,
+                                             fast_path):
+    f = get_nonlinearity("L_sqrt1pu2:0.5")
+    g = apply_S(sys16, grid, GridFunction(sys16, np.ones(sys16.num_dofs)), f)
+    monkeypatch.setattr(fem, "DENSE_CAP", dense_cap)
+    calls = []
+    solve = forward.solve_forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "solve_forward", counted)
+    res = fixed_point_reconstruct(sys16, grid, g, f,
+                                  BackwardConfig(gamma=1e-3, fast_path=fast_path))
+    assert res.propagator["mode"] == mode
+    # one S^N per pass; F^N by stepping adds one per pass and one per CG iteration
+    want = res.outer_iters
+    if mode == "stepping":
+        want += res.outer_iters + sum(res.cg_iter_counts)
+    assert res.forward_solves == len(calls) == want
+    assert res.history[-1]["forward_solves"] == want
 
 
 def test_update_ratios_are_recorded(sys16, grid):

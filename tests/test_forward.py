@@ -9,6 +9,7 @@ from fracback.cq import cq_weights, scalar_terminal_factor, truncate_series
 from fracback.fem import GridFunction, NumericalFailure, assemble, l2_norm, load_nonlinear
 from fracback.forward import (
     BandCholesky,
+    _StepWorkspace,
     Nonlinearity,
     TimeGrid,
     apply_F,
@@ -188,6 +189,22 @@ def test_band_factor_matches_superlu(dim, n, alpha):
     assert l2_norm(sys, gf(sys, x - ref)) <= 1e-12 * l2_norm(sys, gf(sys, ref))
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.9])
+@pytest.mark.parametrize("dim, n", [(1, 16), (1, 512), (2, 5), (2, 28), (2, 66)])
+def test_step_resolvent_matches_band_solve_of_mass_product(dim, n, alpha):
+    sys = assemble(build_interval_mesh(n) if dim == 1 else build_square_mesh(n))
+    grid = TimeGrid(T=1.0, N=50, alpha=alpha)
+    mat = step_matrix(sys, alpha)
+    z = np.random.default_rng(n).standard_normal(sys.num_dofs)
+    b = sys.M @ z
+    x = _StepWorkspace(sys, grid).resolvent(z)
+    ref = BandCholesky(mat).solve(b)
+    # the same normwise backward error bound as the band factor's own test
+    scale = abs(mat).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+    assert np.abs(mat @ x - b).max() <= 1e-13 * scale
+    assert np.abs(x - ref).max() <= 1e-13 * scale
+
+
 def test_band_factor_is_invariant_to_renumbering():
     sys = assemble(build_square_mesh(28))
     mat = step_matrix(sys, 0.5).tocsr()
@@ -207,13 +224,18 @@ def test_band_factor_rejects_indefinite_matrix(sys16):
         BandCholesky(sys16.K - 100.0 * sys16.M)
 
 
-def test_blocked_solve_matches_naive_stepper(sys16):
-    # N = 70 crosses two block boundaries of the history kernel
+@pytest.mark.parametrize("name", ["sqrt1pu2", "allen_cahn"])
+@pytest.mark.parametrize("dim, n", [(1, 16), (2, 12)])
+def test_blocked_solve_matches_naive_stepper(dim, n, name):
+    # N = 70 crosses two block boundaries of the history kernel; f(0) is 1
+    # for sqrt1pu2 and 0 for allen_cahn, so the boundary load is tested both ways
+    sys = assemble(build_interval_mesh(n) if dim == 1 else build_square_mesh(n))
     grid = TimeGrid(T=1.0, N=70, alpha=0.3)
-    u0 = gf(sys16, np.sin(np.pi * sys16.interior_coords()[:, 0]))
-    f = get_nonlinearity("sqrt1pu2")
-    got = solve_forward(sys16, grid, u0, f)
-    ref = naive_solve(sys16, grid, u0, f)
+    x = sys.interior_coords()
+    u0 = gf(sys, np.prod(np.sin(np.pi * x), axis=1))
+    f = get_nonlinearity(name)
+    got = solve_forward(sys, grid, u0, f)
+    ref = naive_solve(sys, grid, u0, f)
     assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 

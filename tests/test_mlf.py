@@ -27,6 +27,20 @@ def test_value_at_zero():
     assert mittag_leffler(0.5, 2.0, 0.0) == pytest.approx(1.0 / gamma_fn(2.0))
 
 
+def test_value_at_zero_is_reciprocal_gamma():
+    # E_{a,b}(0) = 1/Gamma(b): 1e-14 relative where 1/Gamma(b) is a normal
+    # float; past b = 171.6, where Gamma overflows, it is below the smallest
+    # normal float and zero is returned
+    tiny = np.finfo(np.float64).tiny
+    beta = np.concatenate([np.geomspace(1e-6, 200.0, 1001), np.linspace(170.0, 175.0, 51)])
+    got = np.array([mittag_leffler(0.5, b, 0.0) for b in beta])
+    want = rgamma(beta)
+    normal = want >= tiny
+    assert np.all(np.abs(got - want)[normal] <= 1e-14 * want[normal])
+    assert np.all(np.abs(got - want)[~normal] <= tiny)
+    assert np.all(got[beta > 172.0] == 0.0)
+
+
 def test_exponential_identity():
     for x in np.linspace(-50, 0, 200):
         assert abs(mittag_leffler(1.0, 1.0, x) - math.exp(x)) < 1e-10
@@ -147,6 +161,18 @@ def test_criterion_2_grid_does_not_load_mpmath():
         "        mittag_leffler(alpha, 1.0, -x)\n"
         "        mittag_leffler(alpha, alpha, -x)\n"
         "assert 'mpmath' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(fracback.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": path})
+
+
+def test_import_does_not_load_scipy_special():
+    # no fracback code path needs scipy.special, and importing it adds about
+    # 3.5 MB to the peak memory of every run
+    code = ("import sys\n"
+            "import fracback\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy.special')]\n")
     src = os.path.dirname(os.path.dirname(fracback.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
