@@ -8,7 +8,7 @@ Mittag-Leffler oracle for verification.
 """
 
 from fracback.grid import Mesh, build_interval_mesh, build_square_mesh
-from fracback.fem import FemSystem, GridFunction, assemble, l2_project, l2_norm, l2_error, neg_norm
+from fracback.fem import FemSystem, GridFunction, assemble, l2_project, l2_norm, l2_error
 from fracback.cq import cq_weights, scalar_terminal_factor
 from fracback.mlf import (
     MlParams,
@@ -41,7 +41,6 @@ __all__ = [
     "l2_project",
     "l2_norm",
     "l2_error",
-    "neg_norm",
     "cq_weights",
     "scalar_terminal_factor",
     "MlParams",

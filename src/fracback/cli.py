@@ -195,7 +195,7 @@ def _cmd_table(args) -> int:
     table = run_table(spec, deltas, alphas, paper_scale=args.paper_scale)
     out = Path(spec.output_dir)
     print(f"table: {len(table['rows'])} runs, wrote {out / 'table.csv'}")
-    return 0
+    return 3 if any(row["diverged"] for row in table["rows"]) else 0
 
 
 _COMMANDS = {

@@ -102,7 +102,7 @@ class BandCholesky:
 
     def __init__(self, mat):
         # csgraph is imported here, not at module level: it costs about
-        # 0.9 MB of memory that runs which never factor should not pay
+        # 2.2 MB of memory that runs which never factor should not pay
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
         mat = sp.csr_matrix(mat)

@@ -129,6 +129,16 @@ def test_divergence_exit_code(tmp_path, capsys):
     assert main(["backward", "--config", str(cfg), "--quiet"]) == 3
 
 
+def test_table_divergence_exit_code(tmp_path, capsys):
+    # every output is still written before the sweep reports the divergent cells
+    cfg = write_config(tmp_path, nonlinearity="L_sqrt1pu2:30", T=10.0)
+    assert main(["table", "--config", str(cfg), "--quiet",
+                 "--deltas", "0.002,0.001"]) == 3
+    out = tmp_path / "out"
+    assert (out / "table.csv").exists() and (out / "manifest.json").exists()
+    assert len(list(out.glob("history_*.csv"))) == 2
+
+
 def test_help_lists_flags(capsys):
     with pytest.raises(SystemExit):
         main(["backward", "--help"])

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fracback import fem
 from fracback.fem import (
@@ -13,7 +16,6 @@ from fracback.fem import (
     l2_norm,
     l2_project,
     load_nonlinear,
-    neg_norm,
     write_field_csv,
 )
 from fracback.forward import get_nonlinearity
@@ -90,6 +92,35 @@ def test_eigen_threshold(monkeypatch):
     monkeypatch.setattr(fem, "DENSE_CAP", 10)
     with pytest.raises(UnsupportedSize):
         sys.eigenpairs()
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 14), (2, 29)])
+def test_eigenpairs_match_copying_eigh_bitwise(dim, n):
+    # the in-place solve runs the same dsygvd on the same data as the
+    # copying call, and leaves the sparse K and M as they were
+    sys = assemble(build_interval_mesh(n) if dim == 1 else build_square_mesh(n))
+    before = [(A.data.copy(), A.indices.copy(), A.indptr.copy()) for A in (sys.K, sys.M)]
+    lam_ref, phi_ref = scipy.linalg.eigh(sys.K.toarray(), sys.M.toarray())
+    lam, phi = sys.eigenpairs()
+    assert np.array_equal(lam, lam_ref)
+    assert np.array_equal(phi, phi_ref)
+    for A, arrays in zip((sys.K, sys.M), before):
+        for got, want in zip((A.data, A.indices, A.indptr), arrays):
+            assert np.array_equal(got, want)
+
+
+def test_eigenpairs_peak_memory():
+    # dense K and M, overwritten by Φ and the Cholesky factor, plus dsygvd's
+    # 2 d² workspace: 4 d² doubles, where copying both matrices reads 6
+    sys = assemble(build_square_mesh(29))
+    d = sys.num_dofs
+    tracemalloc.start()
+    try:
+        sys.eigenpairs()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.1 * 8 * d * d
 
 
 def test_project_zero(sys2d):
@@ -176,33 +207,6 @@ def test_l2_error_zero_reference(sys2d):
     zero = GridFunction(sys2d, np.zeros(sys2d.num_dofs))
     with pytest.raises(ValueError):
         l2_error(sys2d, u, zero, relative=True)
-
-
-def test_neg_norm_zero(sys1d):
-    z = GridFunction(sys1d, np.zeros(sys1d.num_dofs))
-    assert neg_norm(sys1d, z, 0.5) == 0.0
-
-
-def test_neg_norm_small_mu_is_l2():
-    sys = assemble(build_interval_mesh(32))
-    rng = np.random.default_rng(8)
-    u = GridFunction(sys, rng.standard_normal(sys.num_dofs))
-    assert neg_norm(sys, u, 1e-12) == pytest.approx(l2_norm(sys, u), abs=1e-10)
-
-
-def test_neg_norm_lowest_mode():
-    sys = assemble(build_interval_mesh(32))
-    lam, phi = sys.eigenpairs()
-    u = GridFunction(sys, phi[:, 0].copy())
-    mu = 0.7
-    want = l2_norm(sys, u) * lam[0] ** (-mu / 2)
-    assert neg_norm(sys, u, mu) == pytest.approx(want, rel=1e-12, abs=0)
-
-
-def test_neg_norm_validates_mu(sys1d):
-    u = GridFunction(sys1d, np.ones(sys1d.num_dofs))
-    with pytest.raises(ValueError):
-        neg_norm(sys1d, u, 1.5)
 
 
 def test_cg_zero_rhs():
