@@ -1,17 +1,16 @@
 """Reconstruction of initial data from a terminal observation.
 
 The regularized linear problem (gamma I + F^N) u0 = rhs is solved by
-conjugate gradients in the mass inner product, where the discrete
-homogeneous solution map F^N is self-adjoint positive definite.  A
+:meth:`Propagator.solve`; the discrete homogeneous solution map F^N is
+self-adjoint positive definite in the mass inner product.  A
 :class:`Propagator` applies F^N in one of three ways:
 
-* "spectral" - the dense eigenbasis of (K, M) weighted by the CQ symbol
-  r_N(lam_h); exact, with an O(d^3) set-up, up to
-  :data:`fracback.fem.DENSE_CAP` dofs.  It works in the coordinates of
-  that M-orthonormal basis, where gamma I + F^N is the diagonal
-  gamma + r_N(lam_h) and the mass inner product is the Euclidean one, so
-  a CG iteration costs O(d); the data is mapped in and the result out
-  once per solve;
+* "spectral" - the dense eigenbasis Phi of (K, M) weighted by the CQ
+  symbol r_N(lam_h); exact, with an O(d^3) set-up, up to
+  :data:`fracback.fem.DENSE_CAP` dofs.  In that M-orthonormal basis
+  gamma I + F^N is the diagonal gamma + r_N(lam_h), so the regularized
+  system is solved in closed form, Phi (Phi^T M rhs) / (gamma + r_N),
+  without CG;
 * "series"   - F^N = r_N(A) for the step resolvent A = (tau^-a M + K)^-1 M,
   in which r_N is a polynomial of degree N; a Chebyshev series of a few
   terms, whose dropped tail is below gamma * cg_tol, is applied with the
@@ -20,10 +19,11 @@ homogeneous solution map F^N is self-adjoint positive definite.  A
 * "stepping" - one homogeneous N-step forward solve per application, the
   reference the other two are tested against.
 
-The symbol and the series coefficients are kept on the system, one per
-time grid.  The semilinear problem is handled by an outer fixed-point
-iteration that alternates a nonlinear forward solve with a regularized
-linear solve.
+"series" and "stepping" solve the regularized system by conjugate
+gradients in the mass inner product.  The symbol and the series
+coefficients are kept on the system, one per time grid.  The semilinear
+problem is handled by an outer fixed-point iteration that alternates a
+nonlinear forward solve with a regularized linear solve.
 """
 
 from __future__ import annotations
@@ -50,8 +50,10 @@ class BackwardConfig:
     """Knobs of the regularized reconstruction.
 
     ``random_init_seed`` switches the outer iteration from the default
-    deterministic zero start to a seeded random start.  ``fast_path``
-    chooses how F^N is applied (see :class:`Propagator`):
+    deterministic zero start to a seeded random start.  ``cg_tol`` and
+    ``cg_max`` bound the CG solves of the series and stepping paths; the
+    dense path solves in closed form.  ``fast_path`` chooses how F^N is
+    applied (see :class:`Propagator`):
 
     * "auto" - dense-spectral up to :data:`fracback.fem.DENSE_CAP` dofs;
       above it the Chebyshev series in the step resolvent, truncated where
@@ -74,6 +76,9 @@ class BackwardConfig:
             raise ValueError(f"regularization parameter must be positive, got {self.gamma}")
         if self.fp_tol <= 0.0 or self.cg_tol <= 0.0:
             raise ValueError("tolerances must be positive")
+        if self.fp_max < 1 or self.cg_max < 1:
+            raise ValueError(f"iteration caps must be positive, got fp_max={self.fp_max}, "
+                             f"cg_max={self.cg_max}")
         if self.fast_path not in ("auto", "off"):
             raise ValueError(f"fast_path must be auto/off, got {self.fast_path!r}")
 
@@ -107,13 +112,8 @@ class Propagator:
     application) and ``bound`` the recorded truncation bound:
     ||F^N v - applied v||_M <= bound * ||v||_M up to rounding.
 
-    :meth:`apply_values` and :meth:`dot` act in the propagator's
-    coordinates: :meth:`coords` maps nodal values into them and
-    :meth:`values` maps back.  For "spectral" these are the coefficients
-    c = Phi^T M v in the M-orthonormal eigenbasis Phi, in which F^N is the
-    diagonal r_N(lam_h) and the mass inner product is the Euclidean one;
-    for "series" and "stepping" they are the nodal values themselves, with
-    the mass inner product.
+    :meth:`apply_values` and :meth:`solve` take and return nodal values
+    in every mode.
     """
 
     def __init__(self, sys: FemSystem, grid: TimeGrid, mode: str, *,
@@ -150,53 +150,38 @@ class Propagator:
     def describe(self) -> dict:
         return {"mode": self.mode, "degree": self.degree, "bound": self.bound}
 
-    def coords(self, v: np.ndarray) -> np.ndarray:
-        """Nodal values -> propagator coordinates."""
+    def apply_values(self, v: np.ndarray) -> np.ndarray:
+        """F^N applied to nodal values."""
         if self.mode == "spectral":
-            return self.phi.T @ (self.sys.M @ v)
-        return v
-
-    def values(self, c: np.ndarray) -> np.ndarray:
-        """Propagator coordinates -> nodal values."""
-        if self.mode == "spectral":
-            return self.phi @ c
-        return c
-
-    def dot(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Mass inner product of two vectors given in propagator coordinates."""
-        if self.mode == "spectral":
-            return float(u @ v)
-        return float(u @ (self.sys.M @ v))
-
-    def apply_values(self, c: np.ndarray) -> np.ndarray:
-        """F^N in propagator coordinates."""
-        if self.mode == "spectral":
-            return self.symbol * c
-        v = GridFunction(self.sys, c)
+            return self.phi @ (self.symbol * (self.phi.T @ (self.sys.M @ v)))
+        gf = GridFunction(self.sys, v)
         if self.mode == "series":
-            return apply_F_series(self.sys, self.grid, v, self.coeffs).values
-        return apply_F(self.sys, self.grid, v).values
+            return apply_F_series(self.sys, self.grid, gf, self.coeffs).values
+        return apply_F(self.sys, self.grid, gf).values
 
+    def solve(self, rhs: np.ndarray, cfg: BackwardConfig):
+        """Solve (gamma I + F^N) x = rhs; returns ``(x, cg_iters)``.
 
-def _solve_regularized(prop: Propagator, rhs: np.ndarray, cfg: BackwardConfig):
-    """CG for (gamma I + F^N) x = rhs; rhs and x in propagator coordinates."""
-
-    def apply_op(c):
-        return cfg.gamma * c + prop.apply_values(c)
-
-    return conjugate_gradient(apply_op, rhs, tol=cfg.cg_tol,
-                              maxiter=cfg.cg_max, dot=prop.dot,
-                              context="regularized backward solve")
+        "spectral" divides by gamma + r_N(lam_h) in the eigenbasis, with 0
+        CG iterations; "series" and "stepping" run CG in the mass inner
+        product, one :meth:`apply_values` per iteration.
+        """
+        M = self.sys.M
+        if self.mode == "spectral":
+            return self.phi @ ((self.phi.T @ (M @ rhs)) / (cfg.gamma + self.symbol)), 0
+        return conjugate_gradient(lambda v: cfg.gamma * v + self.apply_values(v), rhs,
+                                  tol=cfg.cg_tol, maxiter=cfg.cg_max,
+                                  dot=lambda u, v: float(u @ (M @ v)),
+                                  context="regularized backward solve")
 
 
 def solve_linear_regularized(sys: FemSystem, grid: TimeGrid, rhs: GridFunction,
                              cfg: BackwardConfig) -> GridFunction:
-    """Solve (gamma I + F^N) x = rhs by mass-weighted conjugate gradients."""
+    """Solve (gamma I + F^N) x = rhs with the propagator ``cfg`` selects."""
     if rhs.system is not sys:
         raise ValueError("right-hand side defined on a different system")
-    prop = Propagator.for_config(sys, grid, cfg)
-    x, _ = _solve_regularized(prop, prop.coords(rhs.values), cfg)
-    return GridFunction(sys, prop.values(x))
+    x, _ = Propagator.for_config(sys, grid, cfg).solve(rhs.values, cfg)
+    return GridFunction(sys, x)
 
 
 def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
@@ -218,9 +203,10 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
     if g_obs.system is not sys:
         raise ValueError("observation defined on a different system")
     prop = Propagator.for_config(sys, grid, cfg)
+    M = sys.M
 
-    def m_norm(c):
-        return math.sqrt(prop.dot(c, c))
+    def m_norm(v):
+        return math.sqrt(float(v @ (M @ v)))
 
     if cfg.random_init_seed is None:
         u = np.zeros(sys.num_dofs)
@@ -228,11 +214,8 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
         rng = np.random.default_rng(cfg.random_init_seed)
         u = rng.standard_normal(sys.num_dofs)
 
-    # iterates, data and truth are held in propagator coordinates
-    u = prop.coords(u)
-    g = prop.coords(g_obs.values)
-    truth_c = prop.coords(truth.values) if truth is not None else None
-    truth_norm = m_norm(truth_c) if truth is not None else None
+    g = g_obs.values
+    truth_norm = m_norm(truth.values) if truth is not None else None
     history = []
     cg_counts = []
     updates = []
@@ -247,18 +230,17 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
         if f.is_zero:
             nonlinear_term = 0.0
         else:
-            s_term = apply_S(sys, grid, GridFunction(sys, prop.values(u)), f).values
-            f_term = prop.apply_values(u)
-            nonlinear_term = prop.coords(s_term) - f_term
+            s_term = apply_S(sys, grid, GridFunction(sys, u), f).values
+            nonlinear_term = s_term - prop.apply_values(u)
             forward_solves += 2 if stepping else 1
         rhs = g - nonlinear_term
-        u_next, cg_it = _solve_regularized(prop, rhs, cfg)
+        u_next, cg_it = prop.solve(rhs, cfg)
         if stepping:
             forward_solves += cg_it
         e_j = m_norm(u_next - u)
         updates.append(e_j)
         cg_counts.append(cg_it)
-        err = (m_norm(u_next - truth_c) / truth_norm
+        err = (m_norm(u_next - truth.values) / truth_norm
                if truth is not None and truth_norm else None)
         history.append({"iter": j, "update_norm": e_j, "error_vs_truth": err,
                         "cg_iters": cg_it, "forward_solves": forward_solves})
@@ -276,7 +258,7 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
 
     ratios = [b / a if a > 0.0 else None for a, b in zip(updates, updates[1:])]
     return ReconstructionResult(
-        u0_hat=GridFunction(sys, prop.values(u)), outer_iters=outer, history=history,
+        u0_hat=GridFunction(sys, u), outer_iters=outer, history=history,
         cg_iter_counts=cg_counts, converged=converged, diverged=diverged,
         forward_solves=forward_solves, update_ratios=ratios,
         propagator=prop.describe())
@@ -311,13 +293,11 @@ def _bisect_increasing(func, target, lo, hi, what):
 
 
 def select_parameters(delta: float, q: float = 2.0, mu: float = 1.0,
-                      preset: Optional[str] = None, *,
-                      c_gamma: float = 1.0 / 75.0, c_h: float = 1.0,
-                      c_tau: float = 1.0) -> dict:
+                      preset: Optional[str] = None) -> dict:
     """Pick (gamma, h, tau) from the noise level.
 
-    Follows the a priori rates gamma ~ delta^(2/(q+2)), h^2 |log h| ~
-    delta, tau |log tau|^2 h^min(q-mu,0) ~ delta^(q/(q+2)); the two
+    Follows the a priori rates gamma = delta^(2/(q+2)) / 75, h^2 |log h| =
+    delta, tau |log tau|^2 h^min(q-mu,0) = delta^(q/(q+2)); the two
     implicit relations are solved by bisection on their monotone
     branches.  The named presets reproduce the benchmark runs instead.
     """
@@ -332,15 +312,15 @@ def select_parameters(delta: float, q: float = 2.0, mu: float = 1.0,
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mu must lie in (0, 1], got {mu}")
 
-    gamma = c_gamma * delta ** (2.0 / (q + 2.0))
+    gamma = (1.0 / 75.0) * delta ** (2.0 / (q + 2.0))
 
     # h^2 |log h| is increasing up to e^-0.5 > 0.5
     h = _bisect_increasing(lambda t: t * t * abs(math.log(t)),
-                           c_h * delta, 1e-8, 0.5, "mesh size h")
+                           delta, 1e-8, 0.5, "mesh size h")
 
     # tau |log tau|^2 is increasing up to e^-2; stay on that branch
     p = min(q - mu, 0.0)
-    target = c_tau * delta ** (q / (q + 2.0)) / h ** p
+    target = delta ** (q / (q + 2.0)) / h ** p
     tau = _bisect_increasing(lambda t: t * math.log(t) ** 2,
                              target, 1e-8, min(0.5, math.exp(-2.0)), "time step tau")
     return {"gamma": gamma, "h": h, "tau": tau}

@@ -47,6 +47,9 @@ def test_config_validation():
         BackwardConfig(gamma=1e-3, fast_path="maybe")
     with pytest.raises(ValueError):
         BackwardConfig(gamma=1e-3, fast_path="on")
+    for caps in ({"fp_max": 0}, {"fp_max": -1}, {"cg_max": 0}, {"cg_max": -1}):
+        with pytest.raises(ValueError, match="iteration caps"):
+            BackwardConfig(gamma=1e-3, **caps)
 
 
 def test_zero_rhs_zero_iterations(sys16, grid):
@@ -70,10 +73,10 @@ def test_regularized_solve_matches_spectral_inverse(sys16, grid, fast_path):
 
 @pytest.mark.parametrize("dim, n", [(1, 40), (2, 12)])
 @pytest.mark.parametrize("alpha", [0.1, 0.9])
-def test_spectral_cg_in_eigen_coordinates_matches_nodal_cg(monkeypatch, dim, n, alpha):
-    # the spectral propagator's CG runs on the diagonal gamma + r_N in
-    # eigen-coordinates; the nodal CG in the mass inner product, as it ran
-    # before, is the reference: both reach the exact regularized inverse
+def test_spectral_solve_matches_closed_form_and_nodal_cg(dim, n, alpha):
+    # the spectral propagator solves gamma I + F^N by dividing by
+    # gamma + r_N(lam_h) in the eigenbasis; the nodal CG in the mass inner
+    # product, as the dense path ran before, is the reference
     sys = assemble(build_interval_mesh(n) if dim == 1 else build_square_mesh(n))
     grid = TimeGrid(T=1.0, N=40, alpha=alpha)
     cfg = BackwardConfig(gamma=1e-3)
@@ -85,29 +88,38 @@ def test_spectral_cg_in_eigen_coordinates_matches_nodal_cg(monkeypatch, dim, n, 
     rhs = np.random.default_rng(11).standard_normal(sys.num_dofs)
     exact = phi @ ((phi.T @ (M @ rhs)) / (cfg.gamma + rN))
 
-    nodal, nodal_it = conjugate_gradient(
+    nodal, _ = conjugate_gradient(
         lambda v: cfg.gamma * v + phi @ (rN * (phi.T @ (M @ v))), rhs,
         tol=cfg.cg_tol, maxiter=cfg.cg_max, dot=lambda u, v: float(u @ (M @ v)))
-    coeff, it = backward._solve_regularized(prop, prop.coords(rhs), cfg)
-    spectral = prop.values(coeff)
-    for x in (nodal, spectral):
-        assert np.max(np.abs(x - exact)) / np.max(np.abs(exact)) < 1e-8
-    assert abs(it - nodal_it) <= 1
+    x, it = prop.solve(rhs, cfg)
+    assert it == 0
+    scale = np.max(np.abs(exact))
+    assert np.max(np.abs(x - exact)) / scale < 1e-12
+    assert np.max(np.abs(x - nodal)) / scale < 1e-8
 
-    # one F^N application per CG iteration plus the f_term of each pass
+
+def test_dense_reconstruction_runs_no_cg(monkeypatch, sys16, grid):
+    # F^N is applied once per pass (the f_term); the regularized solves take
+    # no CG iteration and never call the CG routine
     calls = []
     apply_values = Propagator.apply_values
 
-    def counted(self, c):
+    def counted(self, v):
         calls.append(1)
-        return apply_values(self, c)
+        return apply_values(self, v)
+
+    def no_cg(*args, **kwargs):
+        raise AssertionError("CG ran on the dense path")
 
     monkeypatch.setattr(Propagator, "apply_values", counted)
+    monkeypatch.setattr(backward, "conjugate_gradient", no_cg)
     f = get_nonlinearity("L_sqrt1pu2:0.5")
-    truth = GridFunction(sys, phi[:, 0].copy())
-    res = fixed_point_reconstruct(sys, grid, apply_S(sys, grid, truth, f), f, cfg)
+    truth = GridFunction(sys16, np.sin(2 * np.pi * sys16.interior_coords()[:, 0]))
+    res = fixed_point_reconstruct(sys16, grid, apply_S(sys16, grid, truth, f), f,
+                                  BackwardConfig(gamma=1e-3), truth=truth)
     assert res.converged and res.propagator["mode"] == "spectral"
-    assert len(calls) == res.outer_iters + sum(res.cg_iter_counts)
+    assert len(calls) == res.outer_iters > 1
+    assert res.cg_iter_counts == [0] * res.outer_iters
 
 
 def test_dense_cap_is_honoured(monkeypatch, grid):
@@ -252,7 +264,8 @@ def test_huge_gamma_limit(sys16, grid):
 
 
 def test_cg_budget_failure(sys16, grid):
-    cfg = BackwardConfig(gamma=1e-8, cg_max=1, cg_tol=1e-14)
+    # the CG budget bounds the nodal paths; the dense path runs no CG
+    cfg = BackwardConfig(gamma=1e-8, cg_max=1, cg_tol=1e-14, fast_path="off")
     rng = np.random.default_rng(9)
     rhs = GridFunction(sys16, rng.standard_normal(sys16.num_dofs))
     with pytest.raises(NumericalFailure):
@@ -357,7 +370,7 @@ def test_select_parameters_power_law():
 
 def test_select_parameters_solves_relations():
     delta, q, mu = 1e-4, 1.5, 0.5
-    p = select_parameters(delta, q=q, mu=mu, c_h=1.0, c_tau=1.0)
+    p = select_parameters(delta, q=q, mu=mu)
     h, tau = p["h"], p["tau"]
     assert h * h * abs(math.log(h)) == pytest.approx(delta, rel=1e-8)
     target = delta ** (q / (q + 2.0)) / h ** min(q - mu, 0.0)
@@ -366,7 +379,7 @@ def test_select_parameters_solves_relations():
 
 def test_select_parameters_out_of_range():
     with pytest.raises(ParameterRangeError):
-        select_parameters(0.9, q=2.0, mu=1.0, c_h=10.0)
+        select_parameters(0.9, q=2.0, mu=1.0)
     with pytest.raises(ValueError):
         select_parameters(1.5)
     with pytest.raises(ValueError):

@@ -117,9 +117,17 @@ def test_history_exit_code(tmp_path, capsys):
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
-    # starving the inner CG budget must surface as exit code 2
-    cfg = write_config(tmp_path, backward=dict(gamma=1e-9, cg_max=1, cg_tol=1e-14))
+    # starving the inner CG budget of the stepping path must surface as exit code 2
+    cfg = write_config(tmp_path, backward=dict(gamma=1e-9, cg_max=1, cg_tol=1e-14,
+                                               fast_path="off"))
     assert main(["backward", "--config", str(cfg), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("cap", ["fp_max", "cg_max"])
+def test_zero_iteration_cap_is_usage_error(tmp_path, capsys, cap):
+    cfg = write_config(tmp_path, backward={"gamma": 1e-3, cap: 0})
+    assert main(["backward", "--config", str(cfg), "--quiet"]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_divergence_exit_code(tmp_path, capsys):
