@@ -49,11 +49,9 @@ class ParameterRangeError(ValueError):
 class BackwardConfig:
     """Knobs of the regularized reconstruction.
 
-    ``random_init_seed`` switches the outer iteration from the default
-    deterministic zero start to a seeded random start.  ``cg_tol`` and
-    ``cg_max`` bound the CG solves of the series and stepping paths; the
-    dense path solves in closed form.  ``fast_path`` chooses how F^N is
-    applied (see :class:`Propagator`):
+    ``cg_tol`` and ``cg_max`` bound the CG solves of the series and
+    stepping paths; the dense path solves in closed form.  ``fast_path``
+    chooses how F^N is applied (see :class:`Propagator`):
 
     * "auto" - dense-spectral up to :data:`fracback.fem.DENSE_CAP` dofs;
       above it the Chebyshev series in the step resolvent, truncated where
@@ -68,7 +66,6 @@ class BackwardConfig:
     fp_max: int = 100
     cg_tol: float = 1e-10
     cg_max: int = 300
-    random_init_seed: Optional[int] = None
     fast_path: str = "auto"
 
     def __post_init__(self):
@@ -189,12 +186,13 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
                             truth: Optional[GridFunction] = None) -> ReconstructionResult:
     """Outer fixed-point iteration of the reconstruction algorithm.
 
-    Each pass computes the nonlinear contribution S^N U_j - F^N U_j (a
-    nonlinear forward solve and one application of F^N), then updates
-    U_{j+1} from the regularized linear solve with right-hand side g_obs
-    minus that contribution.  Stops on update norm below ``fp_tol``, on
-    the iteration cap, or on the divergence heuristic (three consecutive
-    update-norm increases, or a 1e6-fold blowup over the first update).
+    Starting from U_0 = 0, each pass computes the nonlinear contribution
+    S^N U_j - F^N U_j (a nonlinear forward solve and one application of
+    F^N), then updates U_{j+1} from the regularized linear solve with
+    right-hand side g_obs minus that contribution.  Stops on update norm
+    below ``fp_tol``, on the iteration cap, or on the divergence heuristic
+    (three consecutive update-norm increases, or a 1e6-fold blowup over
+    the first update).
     The result records the update ratios e_{j+1}/e_j (the observed
     contraction), how the propagator applied F^N, and ``forward_solves``:
     the N-step forward solves run, one per S^N and one per F^N
@@ -208,12 +206,7 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
     def m_norm(v):
         return math.sqrt(float(v @ (M @ v)))
 
-    if cfg.random_init_seed is None:
-        u = np.zeros(sys.num_dofs)
-    else:
-        rng = np.random.default_rng(cfg.random_init_seed)
-        u = rng.standard_normal(sys.num_dofs)
-
+    u = np.zeros(sys.num_dofs)
     g = g_obs.values
     truth_norm = m_norm(truth.values) if truth is not None else None
     history = []

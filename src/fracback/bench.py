@@ -33,7 +33,7 @@ from fracback.backward import (
     select_parameters,
 )
 from fracback.fem import FemSystem, GridFunction, assemble, l2_error, l2_project, write_field_csv
-from fracback.forward import TimeGrid, get_nonlinearity, solve_forward
+from fracback.forward import Nonlinearity, TimeGrid, get_nonlinearity, solve_forward
 from fracback.grid import build_interval_mesh, build_square_mesh, restrict_nodal
 
 log = logging.getLogger(__name__)
@@ -156,8 +156,17 @@ class ExperimentSpec:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def resolved(self, paper_scale: bool = False) -> "ResolvedSpec":
-        return _resolve(self, paper_scale)
+    def resolved(self) -> "ResolvedSpec":
+        return _resolve(self)
+
+    def at_paper_scale(self) -> "ExperimentSpec":
+        """This spec with unset ``n_ref``/``N_ref`` from the paper's full-scale
+        reference grids (1D: 1024 / 1000, 2D: 256 / 1000); warns."""
+        warnings.warn("paper-scale reference grids selected; expect a long run",
+                      RuntimeWarning, stacklevel=2)
+        n_ref, N_ref = _PAPER_REFERENCE[self.dim]
+        return replace(self, n_ref=n_ref if self.n_ref is None else self.n_ref,
+                       N_ref=N_ref if self.N_ref is None else self.N_ref)
 
 
 def _check_keys(data: dict, kind, what: str) -> None:
@@ -169,57 +178,56 @@ def _check_keys(data: dict, kind, what: str) -> None:
 
 @dataclass
 class ResolvedSpec:
-    """Concrete run parameters after preset expansion and nesting checks."""
+    """Everything one run is made of, built and validated before any solve.
+
+    ``grid`` and ``grid_ref`` are the time grids of the reconstruction (on
+    n cells per side) and of the fine reference solve (on n_ref).
+    """
 
     spec: ExperimentSpec
-    alpha: float
-    T: float
     dim: int
     n: int
-    N: int
     n_ref: int
-    N_ref: int
-    gamma: float
-    h: float
-    tau: float
-    backward_kwargs: dict
+    grid: TimeGrid
+    grid_ref: TimeGrid
+    config: BackwardConfig
+    f: Nonlinearity
+    data: InitialData
 
 
 def _nearest_multiple(n: int, target: int) -> int:
     return n * max(1, round(target / n))
 
 
-def _resolve(spec: ExperimentSpec, paper_scale: bool) -> ResolvedSpec:
-    if paper_scale:
-        warnings.warn("paper-scale reference grids selected; expect a long run",
-                      RuntimeWarning, stacklevel=2)
-    ref_defaults = (_PAPER_REFERENCE if paper_scale else _DESK_REFERENCE)[spec.dim]
+def _resolve(spec: ExperimentSpec) -> ResolvedSpec:
+    ref_defaults = _DESK_REFERENCE[spec.dim]
     n_ref_target = spec.n_ref if spec.n_ref is not None else ref_defaults[0]
     N_ref = spec.N_ref if spec.N_ref is not None else ref_defaults[1]
-    backward_kwargs = dict(spec.backward)
+    backward = dict(spec.backward)
 
     if spec.preset is not None:
         params = select_parameters(spec.noise.delta, preset=spec.preset)
-        gamma = backward_kwargs.pop("gamma", params["gamma"])
+        backward.setdefault("gamma", params["gamma"])
         n = spec.n if spec.n is not None else max(2, round(1.0 / params["h"]))
         N = spec.N if spec.N is not None else max(1, round(spec.T / params["tau"]))
         n_ref = _nearest_multiple(n, n_ref_target)
     else:
         if spec.n is None or spec.N is None:
             raise ValueError("without a preset, both n and N must be given")
-        if "gamma" not in backward_kwargs:
+        if "gamma" not in backward:
             raise ValueError("without a preset, backward.gamma must be given")
-        gamma = backward_kwargs.pop("gamma")
         n, N = spec.n, spec.N
         n_ref = n_ref_target
         if n_ref % n != 0:
             raise ValueError(f"meshes not nested: n={n} does not divide n_ref={n_ref}")
     if N > N_ref:
         raise ValueError(f"reconstruction steps N={N} exceed reference N_ref={N_ref}")
-    return ResolvedSpec(spec=spec, alpha=spec.alpha, T=spec.T, dim=spec.dim,
-                        n=n, N=N, n_ref=n_ref, N_ref=N_ref, gamma=gamma,
-                        h=1.0 / n, tau=spec.T / N,
-                        backward_kwargs=backward_kwargs)
+    return ResolvedSpec(spec=spec, dim=spec.dim, n=n, n_ref=n_ref,
+                        grid=TimeGrid(T=spec.T, N=N, alpha=spec.alpha),
+                        grid_ref=TimeGrid(T=spec.T, N=N_ref, alpha=spec.alpha),
+                        config=BackwardConfig(**backward),
+                        f=get_nonlinearity(spec.nonlinearity),
+                        data=get_initial_data(spec.initial_data, spec.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -229,39 +237,36 @@ def _assemble(dim: int, n: int) -> FemSystem:
     return assemble(build_interval_mesh(n) if dim == 1 else build_square_mesh(n))
 
 
-def _clean_observation(res: ResolvedSpec, coarse: Optional[FemSystem] = None):
+def _clean_observation(res: ResolvedSpec,
+                       coarse: Optional[FemSystem] = None) -> GridFunction:
     """Fine-grid solve restricted to the coarse mesh (noise-free).
 
-    Returns ``(coarse, g_clean)``.  The coarse system is assembled unless
-    given.  The fine system lives for this solve only, unless the meshes
-    coincide (n_ref = n): then the coarse system is solved on and keeps
-    the step factor for the reconstruction.
+    The coarse system is assembled unless given.  The fine system lives
+    for this solve only, unless the meshes coincide (n_ref = n): then the
+    coarse system is solved on and keeps the step factor for the
+    reconstruction.
     """
-    spec = res.spec
     if coarse is None:
         coarse = _assemble(res.dim, res.n)
     fine = coarse if res.n_ref == res.n else _assemble(res.dim, res.n_ref)
-    data = get_initial_data(spec.initial_data, res.dim)
-    u0_fine = l2_project(fine, data.func, subdivide=data.subdivide)
-    grid_ref = TimeGrid(T=res.T, N=res.N_ref, alpha=res.alpha)
-    f = get_nonlinearity(spec.nonlinearity)
-    terminal = solve_forward(fine, grid_ref, u0_fine, f)[-1]
+    u0_fine = l2_project(fine, res.data.func, subdivide=res.data.subdivide)
+    terminal = solve_forward(fine, res.grid_ref, u0_fine, res.f)[-1]
     full_coarse = restrict_nodal(fine.mesh, coarse.mesh, fine.full_values(terminal))
-    g_clean = GridFunction(coarse, full_coarse[coarse.interior_ids])
-    return coarse, g_clean
+    return GridFunction(coarse, full_coarse[coarse.interior_ids])
 
 
-def make_observation(spec: ExperimentSpec, *, paper_scale: bool = False,
-                     seed: Optional[int] = None,
+def make_observation(spec: ExperimentSpec, *, seed: Optional[int] = None,
                      clean: Optional[GridFunction] = None):
     """Build (g_clean, g_noisy, achieved_noise_l2) on the coarse mesh.
 
-    ``clean`` is a noise-free observation of ``spec`` returned by an
-    earlier call; it is reused instead of a new fine-grid solve.
+    Noise follows ``spec.noise``, drawn from ``seed`` if given.  ``clean``
+    is the noise-free observation of ``spec`` (see
+    :func:`_clean_observation`); without it, the spec is resolved and the
+    fine reference solve runs here.
     """
     g_clean = clean
     if g_clean is None:
-        _, g_clean = _clean_observation(spec.resolved(paper_scale))
+        g_clean = _clean_observation(spec.resolved())
     coarse = g_clean.system
     delta = spec.noise.delta
     if delta == 0.0:
@@ -284,30 +289,33 @@ def make_observation(spec: ExperimentSpec, *, paper_scale: bool = False,
 # ---------------------------------------------------------------------------
 # reconstruction runs
 
-def _run_single(spec: ExperimentSpec, *, paper_scale: bool = False,
-                seed: Optional[int] = None, clean: Optional[GridFunction] = None):
-    """One reconstruction; ``clean`` as in :func:`make_observation`."""
-    res = spec.resolved(paper_scale)
+def _run_single(res: ResolvedSpec, *, seed: Optional[int] = None,
+                clean: Optional[GridFunction] = None):
+    """One reconstruction of ``res``: returns (summary row, result).
+
+    ``clean`` is a noise-free observation of ``res`` from
+    :func:`_clean_observation`, shared by repetitions; without it the
+    fine reference solve runs here.  ``seed`` overrides the noise seed.
+    """
+    spec = res.spec
     t0 = time.perf_counter()
-    _, g_noisy, achieved = make_observation(spec, paper_scale=paper_scale, seed=seed,
-                                            clean=clean)
+    if clean is None:
+        clean = _clean_observation(res)
+    _, g_noisy, achieved = make_observation(spec, seed=seed, clean=clean)
     coarse = g_noisy.system
-    data = get_initial_data(spec.initial_data, res.dim)
-    truth = l2_project(coarse, data.func, subdivide=data.subdivide)
-    grid = TimeGrid(T=res.T, N=res.N, alpha=res.alpha)
-    f = get_nonlinearity(spec.nonlinearity)
-    cfg = BackwardConfig(gamma=res.gamma, **res.backward_kwargs)
-    result = fixed_point_reconstruct(coarse, grid, g_noisy, f, cfg, truth=truth)
+    truth = l2_project(coarse, res.data.func, subdivide=res.data.subdivide)
+    result = fixed_point_reconstruct(coarse, res.grid, g_noisy, res.f, res.config,
+                                     truth=truth)
     e_u = l2_error(coarse, result.u0_hat, truth, relative=True)
     runtime = time.perf_counter() - t0
     row = {
-        "alpha": res.alpha,
+        "alpha": res.grid.alpha,
         "delta": spec.noise.delta,
-        "gamma": res.gamma,
-        "h": res.h,
-        "tau": res.tau,
+        "gamma": res.config.gamma,
+        "h": 1.0 / res.n,
+        "tau": res.grid.tau,
         "n": res.n,
-        "N": res.N,
+        "N": res.grid.N,
         "seed": spec.noise.seed if seed is None else seed,
         "e_u": e_u,
         "achieved_noise_l2": achieved,
@@ -324,9 +332,9 @@ def _run_single(spec: ExperimentSpec, *, paper_scale: bool = False,
     return row, result
 
 
-def run_reconstruction(spec: ExperimentSpec, *, paper_scale: bool = False) -> dict:
+def run_reconstruction(spec: ExperimentSpec) -> dict:
     """Full pipeline for one spec; returns the summary row."""
-    return _run_single(spec, paper_scale=paper_scale)[0]
+    return _run_single(spec.resolved())[0]
 
 
 def _derived_seed(master: int, row_index: int, rep: int) -> int:
@@ -339,14 +347,15 @@ def _cell_tag(alpha: float, delta: float) -> str:
     return f"a{alpha:g}_d{delta:g}".replace(".", "p")
 
 
-def run_table(spec: ExperimentSpec, deltas, alphas=None, *,
-              paper_scale: bool = False) -> dict:
+def run_table(spec: ExperimentSpec, deltas, alphas=None) -> dict:
     """Sweep (alpha, delta) cells with repetitions; write table/field/history CSVs.
 
     Returns {"alphas", "deltas", "errors" (mean e_u per cell), "orders",
-    "rows"}.  Worker count follows FRACBACK_THREADS (default 1); results
-    are written in deterministic row order regardless of schedule.  Each
-    finished cell is logged at INFO level on this module's logger.
+    "rows"}.  Every cell is resolved, and so validated, before the first
+    solve; two cells with the same file tag are refused.  Worker count
+    follows FRACBACK_THREADS (default 1); results are written in
+    deterministic row order regardless of schedule.  Each finished cell
+    is logged at INFO level on this module's logger.
     """
     deltas = list(deltas)
     if len(deltas) < 2:
@@ -354,14 +363,16 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None, *,
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ValueError("noise levels must be strictly decreasing")
     alphas = list(alphas) if alphas is not None else [spec.alpha]
-    out_dir = Path(spec.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     cells = []
     for ai, alpha in enumerate(alphas):
         for di, delta in enumerate(deltas):
             row_index = ai * len(deltas) + di
             cells.append((row_index, alpha, delta))
+    tags = [_cell_tag(alpha, delta) for _, alpha, delta in cells]
+    repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if repeated:
+        raise ValueError(f"cells would overwrite each other's files: repeated tags {repeated}")
 
     threads = max(1, int(os.environ.get("FRACBACK_THREADS", "1")))
     jobs = []
@@ -369,7 +380,16 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None, *,
         cell_spec = replace(spec, alpha=alpha, noise=replace(spec.noise, delta=delta))
         seeds = [_derived_seed(spec.noise.seed, row_index, r)
                  for r in range(spec.repetitions)]
-        jobs.append((cell_spec, seeds, paper_scale))
+        jobs.append((cell_spec, seeds))
+    # every cell is resolved, and so validated, before the first solve; the
+    # workers resolve theirs again, since the resolved nonlinearity and
+    # initial data hold lambdas, which do not pickle
+    meshes = []
+    for cell_spec, _ in jobs:
+        res = cell_spec.resolved()
+        meshes.append((res.dim, res.n))
+    out_dir = Path(spec.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     t_start = time.perf_counter()
     # cells ordered by coarse mesh and cut into one contiguous chunk per
@@ -377,11 +397,7 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None, *,
     # (and its eigensolve) per mesh, so a mesh is factored at most once per
     # worker while every worker keeps reference solves to run; results go
     # back to row order
-    def mesh(i):
-        res = jobs[i][0].resolved(paper_scale)
-        return res.dim, res.n
-
-    order = sorted(range(len(jobs)), key=mesh)
+    order = sorted(range(len(jobs)), key=lambda i: meshes[i])
     workers = min(threads, len(jobs))
     chunks = [order[k * len(order) // workers:(k + 1) * len(order) // workers]
               for k in range(workers)]
@@ -399,11 +415,11 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None, *,
 
     rows = []
     errors = np.zeros((len(alphas), len(deltas)))
-    for (row_index, alpha, delta), (cell_rows, field_gf, hist) in zip(cells, cell_results):
+    for (row_index, alpha, delta), tag, (cell_rows, field_gf, hist) in zip(
+            cells, tags, cell_results):
         rows.extend(cell_rows)
         errors[row_index // len(deltas), row_index % len(deltas)] = float(
             np.mean([r["e_u"] for r in cell_rows]))
-        tag = _cell_tag(alpha, delta)
         write_field_csv(field_gf, out_dir / f"field_u0hat_{tag}.csv")
         _write_history_csv(hist, out_dir / f"history_{tag}.csv")
         log.info("[table] alpha=%g delta=%g e_u=%.4e", alpha, delta,
@@ -418,7 +434,6 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None, *,
         "deltas": deltas,
         "alphas": alphas,
         "toolkit_version": _version(),
-        "paper_scale": paper_scale,
         "wall_time_s": time.perf_counter() - t_start,
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
@@ -433,39 +448,21 @@ def _table_cell(job, systems):
 
     ``systems`` maps (dim, n) to the coarse systems of the sweep.
     """
-    cell_spec, seeds, paper_scale = job
-    res = cell_spec.resolved(paper_scale)
+    cell_spec, seeds = job
+    res = cell_spec.resolved()
     key = (res.dim, res.n)
     if key not in systems:
         systems[key] = _assemble(*key)
-    _, g_clean = _clean_observation(res, systems[key])
-    cell_rows = []
-    first_field = None
-    first_hist = None
-    for rep, seed in enumerate(seeds):
-        row, result = _run_single(cell_spec, paper_scale=paper_scale, seed=seed,
-                                  clean=g_clean)
-        cell_rows.append(row)
-        if rep == 0:
-            first_field = result.u0_hat
-            first_hist = result.history
-    return cell_rows, first_field, first_hist
+    g_clean = _clean_observation(res, systems[key])
+    runs = [_run_single(res, seed=seed, clean=g_clean) for seed in seeds]
+    first = runs[0][1]
+    return [row for row, _ in runs], first.u0_hat, first.history
 
 
 def _table_cells(jobs):
     """A worker's chunk of cells, in order, sharing one system per mesh."""
     systems = {}
     return [_table_cell(job, systems) for job in jobs]
-
-
-def run_iteration_history(spec: ExperimentSpec, *, paper_scale: bool = False):
-    """One reconstruction with per-iteration error logging; writes history CSV."""
-    row, result = _run_single(spec, paper_scale=paper_scale)
-    out_dir = Path(spec.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"history_{_cell_tag(spec.alpha, spec.noise.delta)}.csv"
-    _write_history_csv(result.history, path)
-    return row, result.history, str(path)
 
 
 # ---------------------------------------------------------------------------

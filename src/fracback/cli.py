@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from fracback.backward import select_parameters
-from fracback.bench import ExperimentSpec, run_iteration_history, run_table, _run_single
+from fracback.bench import ExperimentSpec, run_table, _cell_tag, _run_single
 from fracback.fem import NumericalFailure, write_field_csv
 from fracback.mlf import mittag_leffler
 
@@ -80,7 +80,8 @@ def _load_spec(args) -> ExperimentSpec:
         for key in path[:-1]:
             node = node.setdefault(key, {})
         node[path[-1]] = value
-    return ExperimentSpec.from_dict(data)
+    spec = ExperimentSpec.from_dict(data)
+    return spec.at_paper_scale() if args.paper_scale else spec
 
 
 def build_parser() -> _Parser:
@@ -128,28 +129,26 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_forward(args) -> int:
-    from fracback.bench import _assemble, get_initial_data
+    from fracback.bench import _assemble
     from fracback.fem import GridFunction, l2_project
-    from fracback.forward import TimeGrid, get_nonlinearity, solve_forward
+    from fracback.forward import solve_forward
 
-    spec = _load_spec(args)
-    res = spec.resolved(args.paper_scale)
+    res = _load_spec(args).resolved()
+    grid = res.grid
     sys_c = _assemble(res.dim, res.n)
-    data = get_initial_data(spec.initial_data, res.dim)
-    u0 = l2_project(sys_c, data.func, subdivide=data.subdivide)
-    grid = TimeGrid(T=res.T, N=res.N, alpha=res.alpha)
-    hist = solve_forward(sys_c, grid, u0, get_nonlinearity(spec.nonlinearity))
-    out = Path(spec.output_dir)
+    u0 = l2_project(sys_c, res.data.func, subdivide=res.data.subdivide)
+    hist = solve_forward(sys_c, grid, u0, res.f)
+    out = Path(res.spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     field_path = out / "field_terminal.csv"
     write_field_csv(GridFunction(sys_c, hist[-1]), field_path)
-    manifest = dict(alpha=res.alpha, T=res.T, N=res.N, tau=res.tau,
+    manifest = dict(alpha=grid.alpha, T=grid.T, N=grid.N, tau=grid.tau,
                     mesh=sys_c.mesh.meta())
     man_path = out / "manifest.json"
     with open(man_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     if not args.quiet:
-        print(f"forward solve done: alpha={res.alpha:g} N={res.N} n={res.n}")
+        print(f"forward solve done: alpha={grid.alpha:g} N={grid.N} n={res.n}")
         print(f"wrote {field_path}")
         print(f"wrote {man_path}")
     return 0
@@ -157,7 +156,7 @@ def _cmd_forward(args) -> int:
 
 def _cmd_backward(args) -> int:
     spec = _load_spec(args)
-    row, result = _run_single(spec, paper_scale=args.paper_scale)
+    row, result = _run_single(spec.resolved())
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     field_path = out / "field_u0hat.csv"
@@ -178,8 +177,13 @@ def _cmd_backward(args) -> int:
 
 def _cmd_history(args) -> int:
     spec = _load_spec(args)
-    row, history, path = run_iteration_history(spec, paper_scale=args.paper_scale)
-    print(f"history: {len(history)} iterations, e_u={row['e_u']:.4e}, "
+    row, result = _run_single(spec.resolved())
+    out = Path(spec.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    from fracback.bench import _write_history_csv
+    path = out / f"history_{_cell_tag(spec.alpha, spec.noise.delta)}.csv"
+    _write_history_csv(result.history, path)
+    print(f"history: {len(result.history)} iterations, e_u={row['e_u']:.4e}, "
           f"diverged={row['diverged']}")
     if not args.quiet:
         print(f"wrote {path}")
@@ -192,7 +196,7 @@ def _cmd_table(args) -> int:
         raise ValueError("table needs --deltas with at least two decreasing values")
     deltas = [float(v) for v in args.deltas.split(",")]
     alphas = [float(v) for v in args.alphas.split(",")] if args.alphas else None
-    table = run_table(spec, deltas, alphas, paper_scale=args.paper_scale)
+    table = run_table(spec, deltas, alphas)
     out = Path(spec.output_dir)
     print(f"table: {len(table['rows'])} runs, wrote {out / 'table.csv'}")
     return 3 if any(row["diverged"] for row in table["rows"]) else 0

@@ -16,7 +16,9 @@ import scipy.sparse as sp
 
 
 class NumericalFailure(RuntimeError):
-    """An iterative solver failed to reach its tolerance."""
+    """A numerical step failed: an iterative solver missed its tolerance, a
+    band factorisation met a matrix that is not positive definite, or a
+    forward step or series application produced non-finite values."""
 
 
 # Largest system, in dofs, on which the dense (K, M) eigensolve runs: it
@@ -89,8 +91,7 @@ def assemble_full(mesh):
         ne, nv = conn.shape
         pts = mesh.nodes[conn]            # (ne, 3, 2)
         a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
-        area = 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                      - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
+        area = mesh.element_measures()
         # grad phi_i = rotated opposite edge / (2 area)
         g = np.empty((ne, 3, 2))
         g[:, 0, 0] = b[:, 1] - c[:, 1]

@@ -54,7 +54,7 @@ class Mesh:
                       - (pc[:, 0] - pa[:, 0]) * (pb[:, 1] - pa[:, 1]))
 
     def meta(self) -> dict:
-        """Metadata object used by field dumps."""
+        """Mesh size and counts, echoed in ``fracback forward``'s manifest.json."""
         return {
             "dim": self.dim,
             "n": self.n,

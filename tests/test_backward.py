@@ -326,16 +326,6 @@ def test_fixed_point_divergence_flag(sys16):
     assert res.outer_iters < 60
 
 
-def test_random_init_mode(sys16, grid):
-    g = apply_F(sys16, grid, GridFunction(sys16, np.ones(sys16.num_dofs)))
-    cfg = BackwardConfig(gamma=1e-4, random_init_seed=5)
-    res = fixed_point_reconstruct(sys16, grid, g, get_nonlinearity("zero"), cfg)
-    assert res.converged
-    cfg2 = BackwardConfig(gamma=1e-4, random_init_seed=5)
-    res2 = fixed_point_reconstruct(sys16, grid, g, get_nonlinearity("zero"), cfg2)
-    assert np.array_equal(res.u0_hat.values, res2.u0_hat.values)
-
-
 def test_gamma_rate_linear(sys16, grid):
     # noise-free reconstruction error scales ~ gamma for smooth data
     lam, phi = sys16.eigenpairs()

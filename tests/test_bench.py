@@ -16,10 +16,11 @@ from fracback.bench import (
     NoiseSpec,
     get_initial_data,
     make_observation,
-    run_iteration_history,
     run_reconstruction,
     run_table,
+    _clean_observation,
     _derived_seed,
+    _run_single,
 )
 from fracback.fem import assemble, l2_norm, l2_project, GridFunction
 from fracback.grid import build_interval_mesh, build_square_mesh, restrict_nodal
@@ -81,11 +82,11 @@ def test_spec_accepts_every_backward_field():
     for f in dataclasses.fields(BackwardConfig):
         data = small_spec().to_dict()
         data["backward"][f.name] = getattr(defaults, f.name)
-        res = ExperimentSpec.from_dict(data).resolved()
-        cfg = BackwardConfig(gamma=res.gamma, **res.backward_kwargs)
+        cfg = ExperimentSpec.from_dict(data).resolved().config
         assert getattr(cfg, f.name) == getattr(defaults, f.name)
-    # the removed dense cap and history switch are unknown keys now
-    for key, value in (("dense_threshold", 4096), ("record_history", True)):
+    # the removed dense cap, history switch and random start are unknown keys now
+    for key, value in (("dense_threshold", 4096), ("record_history", True),
+                       ("random_init_seed", 5)):
         data = small_spec().to_dict()
         data["backward"][key] = value
         with pytest.raises(ValueError, match=f"unknown backward fields: \\['{key}'\\]"):
@@ -112,8 +113,8 @@ def test_resolve_preset_derives_parameters():
                       noise=NoiseSpec(delta=1 / 80, seed=1))
     res = spec.resolved()
     assert res.n == 14
-    assert res.N == 45
-    assert res.gamma == pytest.approx(np.sqrt(1 / 80) / 75)
+    assert res.grid.N == 45
+    assert res.config.gamma == pytest.approx(np.sqrt(1 / 80) / 75)
     assert res.n_ref % res.n == 0
     assert abs(res.n_ref - 128) <= res.n // 2
 
@@ -150,9 +151,8 @@ def test_noise_statistics_pointwise():
     # over many seeds the achieved L2 noise has mean delta*sup_g*sqrt(tr M):
     # nodal white noise carries the P1 quadratic form, not unit variance
     spec = small_spec(n=8, n_ref=16, N=10, N_ref=20)
-    res = spec.resolved()
-    from fracback.bench import _clean_observation
-    coarse, g_clean = _clean_observation(res)
+    g_clean = _clean_observation(spec.resolved())
+    coarse = g_clean.system
     sup_g = g_clean.full_values().max()
     tr = coarse.M.diagonal().sum()
     ratios = []
@@ -224,15 +224,18 @@ def _counting(monkeypatch, owner, name):
 
 def test_run_table_repeats_reference_solves(tmp_path, monkeypatch):
     # one fine reference solve per cell, shared by its repetitions, and a
-    # second sweep solves again
+    # second sweep solves again; each cell is resolved once up front and
+    # once where it runs, not once per repetition
     solves = _counting(monkeypatch, bench, "solve_forward")
+    resolves = _counting(monkeypatch, bench, "_resolve")
     counts = []
     for name in ("a", "b"):
         spec = small_spec(output_dir=str(tmp_path / name), repetitions=2)
         run_table(spec, deltas=[2e-3, 1e-3], alphas=[0.4, 0.6])
-        counts.append(len(solves))
+        counts.append((len(solves), len(resolves)))
         solves.clear()
-    assert counts == [4, 4]
+        resolves.clear()
+    assert counts == [(4, 8), (4, 8)]
 
 
 @pytest.mark.parametrize("n_ref, N_ref, factors", [(16, 20, 1), (64, 50, 2)])
@@ -275,6 +278,14 @@ def test_run_table_validation(tmp_path):
         run_table(spec, deltas=[1e-3])
     with pytest.raises(ValueError):
         run_table(spec, deltas=[1e-3, 2e-3])
+    # two cells with one file tag would overwrite each other's outputs; the
+    # sweep refuses them before any solve and writes nothing
+    for deltas, alphas in (([2e-3, 1e-3], [0.3, 0.3]),
+                           ([0.1000001, 0.1], [0.5]),
+                           ([2e-3, 1e-3], [0.1, 0.1000001])):
+        with pytest.raises(ValueError, match="repeated tags"):
+            run_table(spec, deltas=deltas, alphas=alphas)
+    assert not any(tmp_path.iterdir())
 
 
 def test_run_table_deterministic_bytes(tmp_path):
@@ -378,7 +389,7 @@ def test_parallel_sweep_keeps_row_order(tmp_path, monkeypatch):
 def test_paper_scale_warns():
     spec = small_spec(n_ref=None, N_ref=None)
     with pytest.warns(RuntimeWarning):
-        spec.resolved(paper_scale=True)
+        spec.at_paper_scale()
 
 
 def test_spec_validates_fields():
@@ -401,18 +412,16 @@ def test_two_dimensional_pipeline():
     assert 0.0 < row["e_u"] < 1.0
 
 
-def test_iteration_history_zero_source(tmp_path):
-    spec = small_spec(nonlinearity="zero", output_dir=str(tmp_path))
-    row, history, path = run_iteration_history(spec)
-    assert len(history) <= 2
-    text = (tmp_path / "history_a0p5_d0p001.csv").read_text()
-    assert text.startswith("iter,update_norm,error_vs_truth,cg_iters,")
+def test_iteration_history_zero_source():
+    spec = small_spec(nonlinearity="zero")
+    _, result = _run_single(spec.resolved())
+    assert len(result.history) <= 2
 
 
-def test_iteration_history_contracting(tmp_path):
-    spec = small_spec(nonlinearity="L_sqrt1pu2:0.5", output_dir=str(tmp_path),
+def test_iteration_history_contracting():
+    spec = small_spec(nonlinearity="L_sqrt1pu2:0.5",
                       backward={"gamma": 1e-4, "cg_tol": 1e-12})
-    row, history, _ = run_iteration_history(spec)
-    errs = [h["error_vs_truth"] for h in history]
+    row, result = _run_single(spec.resolved())
+    errs = [h["error_vs_truth"] for h in result.history]
     assert all(e is not None for e in errs)
     assert not row["diverged"]

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from fracback.cli import main
+from fracback import bench
+from fracback.cli import build_parser, main, _load_spec
 
 
 def write_config(tmp_path, **overrides):
@@ -17,6 +18,16 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail the test on any assembly or fine reference solve of the harness."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled or solved before the spec was validated")
+
+    monkeypatch.setattr(bench, "assemble", refuse)
+    monkeypatch.setattr(bench, "solve_forward", refuse)
 
 
 def test_mlf_value(capsys):
@@ -114,6 +125,8 @@ def test_table_idempotent_bytes(tmp_path):
 def test_history_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, nonlinearity="L_sqrt1pu2:0.5")
     assert main(["history", "--config", str(cfg), "--quiet"]) == 0
+    text = (tmp_path / "out" / "history_a0p5_d0p001.csv").read_text()
+    assert text.startswith("iter,update_norm,error_vs_truth,cg_iters,")
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
@@ -124,10 +137,55 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cap", ["fp_max", "cg_max"])
-def test_zero_iteration_cap_is_usage_error(tmp_path, capsys, cap):
+def test_zero_iteration_cap_is_usage_error(tmp_path, capsys, cap, no_solve):
     cfg = write_config(tmp_path, backward={"gamma": 1e-3, cap: 0})
     assert main(["backward", "--config", str(cfg), "--quiet"]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "backward", "history", "table"])
+@pytest.mark.parametrize("override", [
+    {"backward": {"gamma": 1e-3, "fp_max": 0}}, {"alpha": 1.5}, {"T": -1.0},
+    {"nonlinearity": "nope"}, {"initial_data": "nope"}],
+    ids=["fp_max", "alpha", "T", "nonlinearity", "initial_data"])
+def test_invalid_spec_fails_before_any_solve(tmp_path, capsys, no_solve, command, override):
+    cfg = write_config(tmp_path, **override)
+    argv = [command, "--config", str(cfg), "--quiet"]
+    if command == "table":
+        argv += ["--deltas", "0.002,0.001"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_table_bad_alpha_fails_before_any_solve(tmp_path, capsys, no_solve):
+    # the first alpha is valid; its cells must not be solved before the
+    # second one is refused
+    cfg = write_config(tmp_path)
+    assert main(["table", "--config", str(cfg), "--quiet",
+                 "--deltas", "0.002,0.001", "--alphas", "0.3,1.5"]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_paper_scale_fills_unset_reference_grids(tmp_path, no_solve):
+    def load(*flags, **overrides):
+        cfg = write_config(tmp_path, **overrides)
+        return _load_spec(build_parser().parse_args(["backward", "--config", str(cfg),
+                                                     *flags]))
+
+    for dim, (n_ref, N_ref) in ((1, (1024, 1000)), (2, (256, 1000))):
+        with pytest.warns(RuntimeWarning, match="paper-scale"):
+            res = load("--paper-scale", dim=dim, n_ref=None, N_ref=None).resolved()
+        assert (res.n_ref, res.grid_ref.N) == (n_ref, N_ref)
+        with pytest.warns(RuntimeWarning, match="paper-scale"):
+            spec = load("--paper-scale", dim=dim, n_ref=None, N_ref=300)
+        assert (spec.n_ref, spec.N_ref) == (n_ref, 300)
+    # explicit grids are kept, and without the flag nothing is filled
+    with pytest.warns(RuntimeWarning, match="paper-scale"):
+        spec = load("--paper-scale")
+    assert (spec.n_ref, spec.N_ref) == (64, 50)
+    spec = load(n_ref=None, N_ref=None)
+    assert (spec.n_ref, spec.N_ref) == (None, None)
 
 
 def test_divergence_exit_code(tmp_path, capsys):
