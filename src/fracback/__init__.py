@@ -11,7 +11,6 @@ from fracback.grid import Mesh, build_interval_mesh, build_square_mesh
 from fracback.fem import FemSystem, GridFunction, assemble, l2_project, l2_norm, l2_error
 from fracback.cq import cq_weights, scalar_terminal_factor
 from fracback.mlf import (
-    MlParams,
     SpectralField,
     mittag_leffler,
     spectral_forward_linear,
@@ -43,7 +42,6 @@ __all__ = [
     "l2_error",
     "cq_weights",
     "scalar_terminal_factor",
-    "MlParams",
     "SpectralField",
     "mittag_leffler",
     "spectral_forward_linear",

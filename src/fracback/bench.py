@@ -64,7 +64,11 @@ def _checkerboard_2d(x, y):
 
 
 def get_initial_data(name: str, dim: int) -> InitialData:
-    """Initial-data generators: smooth_sine, checkerboard, eigenmode:k[,l]."""
+    """Initial-data generators: smooth_sine, checkerboard, eigenmode:k[,l].
+
+    Only ``eigenmode`` takes parameters: the mode numbers k (and l in 2D,
+    which defaults to k); ``"eigenmode"`` alone is mode 1.
+    """
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     if name == "smooth_sine":
@@ -75,11 +79,16 @@ def get_initial_data(name: str, dim: int) -> InitialData:
     if name == "checkerboard":
         fn = _checkerboard_1d if dim == 1 else _checkerboard_2d
         return InitialData(name, dim, fn, subdivide=True)
-    if name.startswith("eigenmode"):
-        _, _, suffix = name.partition(":")
-        parts = [int(p) for p in suffix.split(",")] if suffix else [1]
-        k = parts[0]
-        l = parts[1] if len(parts) > 1 else k
+    base, colon, suffix = name.partition(":")
+    if base == "eigenmode":
+        try:
+            modes = [int(p) for p in suffix.split(",")] if colon else [1]
+        except ValueError:
+            modes = []
+        if not 1 <= len(modes) <= dim or min(modes) < 1:
+            raise ValueError(f"initial data {name!r}: eigenmode takes up to {dim} "
+                             "positive mode numbers, eigenmode:k[,l]")
+        k, l = modes[0], modes[-1]
         if dim == 1:
             return InitialData(name, 1, lambda x: np.sin(k * np.pi * x))
         return InitialData(name, 2,
@@ -136,17 +145,15 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
         _check_keys(data, cls, "experiment")
-        data = dict(data)
         noise = data.get("noise")
-        if isinstance(noise, NoiseSpec):
-            pass
-        elif isinstance(noise, dict):
-            _check_keys(noise, NoiseSpec, "noise")
-            data["noise"] = NoiseSpec(**noise)
-        else:
+        if not isinstance(noise, dict):
             raise ValueError("experiment spec needs a 'noise' object")
+        _check_keys(noise, NoiseSpec, "noise")
         _check_keys(data.get("backward", {}), BackwardConfig, "backward")
-        return cls(**data)
+        try:
+            return cls(**dict(data, noise=NoiseSpec(**noise)))
+        except TypeError as exc:
+            raise ValueError(f"invalid experiment spec: {exc}") from exc
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
@@ -157,7 +164,10 @@ class ExperimentSpec:
         return asdict(self)
 
     def resolved(self) -> "ResolvedSpec":
-        return _resolve(self)
+        try:
+            return _resolve(self)
+        except TypeError as exc:
+            raise ValueError(f"invalid experiment spec: {exc}") from exc
 
     def at_paper_scale(self) -> "ExperimentSpec":
         """This spec with unset ``n_ref``/``N_ref`` from the paper's full-scale

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``forward`` (direct solve), ``backward`` (single
-reconstruction), ``mlf`` (Mittag-Leffler values), ``table`` (noise-level
-sweep), ``history`` (iteration log), ``params`` (parameter choice).
+reconstruction with its iteration log), ``mlf`` (Mittag-Leffler values),
+``table`` (noise-level sweep), ``params`` (parameter choice).
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 the
 backward iteration diverged (sweeps continue past divergent cells).
 """
@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from fracback.backward import select_parameters
-from fracback.bench import ExperimentSpec, run_table, _cell_tag, _run_single
+from fracback.bench import ExperimentSpec, run_table, _run_single
 from fracback.fem import NumericalFailure, write_field_csv
 from fracback.mlf import mittag_leffler
 
@@ -102,7 +102,6 @@ def build_parser() -> _Parser:
 
     for name, helptext in (("forward", "solve the direct problem"),
                            ("backward", "reconstruct initial data"),
-                           ("history", "reconstruction with iteration log"),
                            ("table", "noise-level sweep")):
         p = sub.add_parser(name, help=helptext)
         _add_spec_options(p)
@@ -175,21 +174,6 @@ def _cmd_backward(args) -> int:
     return 3 if row["diverged"] else 0
 
 
-def _cmd_history(args) -> int:
-    spec = _load_spec(args)
-    row, result = _run_single(spec.resolved())
-    out = Path(spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    from fracback.bench import _write_history_csv
-    path = out / f"history_{_cell_tag(spec.alpha, spec.noise.delta)}.csv"
-    _write_history_csv(result.history, path)
-    print(f"history: {len(result.history)} iterations, e_u={row['e_u']:.4e}, "
-          f"diverged={row['diverged']}")
-    if not args.quiet:
-        print(f"wrote {path}")
-    return 3 if row["diverged"] else 0
-
-
 def _cmd_table(args) -> int:
     spec = _load_spec(args)
     if not args.deltas:
@@ -207,7 +191,6 @@ _COMMANDS = {
     "params": _cmd_params,
     "forward": _cmd_forward,
     "backward": _cmd_backward,
-    "history": _cmd_history,
     "table": _cmd_table,
 }
 

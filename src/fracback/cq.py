@@ -68,13 +68,13 @@ def march(w: np.ndarray, hist: np.ndarray, step) -> np.ndarray:
     return hist
 
 
-def scalar_terminal_factor(alpha: float, T: float, N: int, lam, u0=1.0, source=None):
+def scalar_terminal_factor(alpha: float, T: float, N: int, lam, source=None):
     """Terminal value of the CQ-BE scheme on scalar modes u' -> lambda u.
 
-    Runs tau^-a sum w[n-j](u_j - u_0) + lam * u_n = f(u_{n-1}) for each
-    entry of ``lam`` simultaneously; with ``source`` None this yields the
-    spectral symbol r_N(lam) of the discrete homogeneous solution map
-    (for u0 = 1).  Used as the dense-spectral oracle and fast path, and
+    Runs tau^-a sum w[n-j](u_j - u_0) + lam * u_n = f(u_{n-1}) from u_0 = 1
+    for each entry of ``lam`` simultaneously; with ``source`` None this
+    yields the spectral symbol r_N(lam) of the discrete homogeneous
+    solution map.  Used as the dense-spectral oracle and fast path, and
     sampled by :func:`chebyshev_terminal_series`.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
@@ -83,12 +83,12 @@ def scalar_terminal_factor(alpha: float, T: float, N: int, lam, u0=1.0, source=N
     s = np.cumsum(w)
     ta = tau ** (-alpha)
     U = np.empty((N + 1, lam.size))
-    U[0] = u0
+    U[0] = 1.0
     denom = ta + lam
 
     def step(n, conv):
         f_prev = source(U[n - 1]) if source is not None else 0.0
-        return (f_prev + ta * (s[n] * U[0] - conv)) / denom
+        return (f_prev + ta * (s[n] - conv)) / denom
 
     return march(w, U, step)[N]
 

@@ -41,31 +41,33 @@ class Nonlinearity:
         return self.name == "zero"
 
 
-_REGISTRY: dict[str, Callable[[float], Nonlinearity]] = {
-    "zero": lambda L: Nonlinearity("zero", lambda u: np.zeros_like(u)),
-    "identity": lambda L: Nonlinearity("identity", lambda u: u),
-    "sqrt1pu2": lambda L: Nonlinearity("sqrt1pu2", lambda u: np.sqrt(1.0 + u * u)),
-    "one_minus_u3": lambda L: Nonlinearity("one_minus_u3", lambda u: 1.0 - u ** 3),
-    "L_sqrt1pu2": lambda L: Nonlinearity(
-        f"L_sqrt1pu2:{L:g}", lambda u: L * np.sqrt(1.0 + u * u)),
-    "allen_cahn": lambda L: Nonlinearity("allen_cahn", lambda u: u - u ** 3),
-}
+_REGISTRY = {nl.name: nl for nl in (
+    Nonlinearity("zero", np.zeros_like),
+    Nonlinearity("identity", lambda u: u),
+    Nonlinearity("sqrt1pu2", lambda u: np.sqrt(1.0 + u * u)),
+    Nonlinearity("one_minus_u3", lambda u: 1.0 - u ** 3),
+    Nonlinearity("allen_cahn", lambda u: u - u ** 3),
+)}
 
 
-def get_nonlinearity(name: str, L: float = 1.0) -> Nonlinearity:
-    """Look up a registered nonlinearity.
+def get_nonlinearity(name: str) -> Nonlinearity:
+    """Look up a nonlinearity by name.
 
-    A scale for the Lipschitz family may be given either as the ``L``
-    argument or inline, e.g. ``"L_sqrt1pu2:0.5"``.
+    Only the Lipschitz family takes a parameter, its scale L, written
+    inline: ``"L_sqrt1pu2:0.5"`` is f(u) = 0.5 sqrt(1 + u^2), and
+    ``"L_sqrt1pu2"`` alone means L = 1.
     """
-    base = name
-    if ":" in name:
-        base, _, suffix = name.partition(":")
-        L = float(suffix)
-    if base not in _REGISTRY:
-        raise ValueError(f"unknown nonlinearity {name!r}; "
-                         f"registered: {sorted(_REGISTRY)}")
-    return _REGISTRY[base](L)
+    base, colon, suffix = name.partition(":")
+    if base == "L_sqrt1pu2":
+        try:
+            L = float(suffix) if colon else 1.0
+        except ValueError:
+            raise ValueError(f"nonlinearity {name!r}: the scale L must be a number") from None
+        return Nonlinearity(f"L_sqrt1pu2:{L:g}", lambda u: L * np.sqrt(1.0 + u * u))
+    if name not in _REGISTRY:
+        raise ValueError(f"unknown nonlinearity {name!r}; known: "
+                         f"{sorted(_REGISTRY)} and L_sqrt1pu2[:L]")
+    return _REGISTRY[name]
 
 
 @dataclass(frozen=True)

@@ -41,20 +41,6 @@ _LOG_TOL = math.log(1e-15)     # accuracy target of the quadrature
 _MAX_NODES = 200               # the target is relaxed tenfold past this
 
 
-@dataclass(frozen=True)
-class MlParams:
-    """Order pair (alpha, beta); evaluation restricted to arguments x <= 0."""
-
-    alpha: float
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 2.0:
-            raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-
-
 def _bounded_contour(phi, p, log_tol):
     """(nodes, mu, h) of a parabola between the branch point at 0, of
     strength p, and the pole pair, of strength 1, lying on the parabola
@@ -153,7 +139,10 @@ def _contour_inversion(alpha, beta, x):
 
 def mittag_leffler(alpha: float, beta: float, x: float) -> float:
     """E_{alpha,beta}(x) for x <= 0, alpha in (0, 2], beta > 0."""
-    MlParams(alpha, beta)    # validates orders
+    if not 0.0 < alpha <= 2.0:
+        raise ValueError(f"alpha must lie in (0, 2], got {alpha}")
+    if beta <= 0.0:
+        raise ValueError(f"beta must be positive, got {beta}")
     if x > 0.0:
         raise ValueError(f"only arguments x <= 0 are supported, got {x}")
     if x == 0.0:

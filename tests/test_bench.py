@@ -50,8 +50,11 @@ def test_initial_data_registry():
     assert em.func(np.array([0.25]))[0] == pytest.approx(1.0)
     em2 = get_initial_data("eigenmode:1,2", 2)
     assert em2.func(np.array([0.5]), np.array([0.25]))[0] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        get_initial_data("nope", 2)
+    for name, dim in (("nope", 2), ("smooth_sine:2", 2), ("eigenmodefoo:2", 2),
+                      ("eigenmode:", 2), ("eigenmode:0", 1), ("eigenmode:1,2", 1),
+                      ("eigenmode:1,2,3", 2)):
+        with pytest.raises(ValueError):
+            get_initial_data(name, dim)
 
 
 def test_noise_spec_validation():

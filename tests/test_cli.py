@@ -122,13 +122,6 @@ def test_table_idempotent_bytes(tmp_path):
     assert (tmp_path / "out" / "table.csv").read_bytes() == first
 
 
-def test_history_exit_code(tmp_path, capsys):
-    cfg = write_config(tmp_path, nonlinearity="L_sqrt1pu2:0.5")
-    assert main(["history", "--config", str(cfg), "--quiet"]) == 0
-    text = (tmp_path / "out" / "history_a0p5_d0p001.csv").read_text()
-    assert text.startswith("iter,update_norm,error_vs_truth,cg_iters,")
-
-
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # starving the inner CG budget of the stepping path must surface as exit code 2
     cfg = write_config(tmp_path, backward=dict(gamma=1e-9, cg_max=1, cg_tol=1e-14,
@@ -143,11 +136,12 @@ def test_zero_iteration_cap_is_usage_error(tmp_path, capsys, cap, no_solve):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["forward", "backward", "history", "table"])
+@pytest.mark.parametrize("command", ["forward", "backward", "table"])
 @pytest.mark.parametrize("override", [
     {"backward": {"gamma": 1e-3, "fp_max": 0}}, {"alpha": 1.5}, {"T": -1.0},
-    {"nonlinearity": "nope"}, {"initial_data": "nope"}],
-    ids=["fp_max", "alpha", "T", "nonlinearity", "initial_data"])
+    {"nonlinearity": "nope"}, {"initial_data": "nope"},
+    {"backward": {"gamma": 1e-3, "fp_max": "3"}}],
+    ids=["fp_max", "alpha", "T", "nonlinearity", "initial_data", "fp_max_type"])
 def test_invalid_spec_fails_before_any_solve(tmp_path, capsys, no_solve, command, override):
     cfg = write_config(tmp_path, **override)
     argv = [command, "--config", str(cfg), "--quiet"]

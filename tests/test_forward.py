@@ -40,8 +40,9 @@ def test_nonlinearity_registry():
     f = get_nonlinearity("L_sqrt1pu2:0.5")
     assert f(np.array([0.0]))[0] == pytest.approx(0.5)
     assert get_nonlinearity("allen_cahn")(np.array([2.0]))[0] == pytest.approx(-6.0)
-    with pytest.raises(ValueError):
-        get_nonlinearity("nope")
+    for name in ("nope", "sqrt1pu2:5", "zero:3", "allen_cahn:2", "L_sqrt1pu2:x"):
+        with pytest.raises(ValueError):
+            get_nonlinearity(name)
 
 
 def test_time_grid_validation():
@@ -303,8 +304,7 @@ def test_apply_s_linear_source_scalar_oracle(sys16):
     lam, phi = sys16.eigenpairs()
     v = GridFunction(sys16, phi[:, 2].copy())
     out = apply_S(sys16, grid, v, get_nonlinearity("identity"))
-    ref = scalar_terminal_factor(0.5, 1.0, 50, lam[2], u0=1.0,
-                                 source=lambda u: u)[0]
+    ref = scalar_terminal_factor(0.5, 1.0, 50, lam[2], source=lambda u: u)[0]
     coeff = phi[:, 2] @ (sys16.M @ out.values)
     assert coeff == pytest.approx(ref, rel=1e-11, abs=0)
 

@@ -12,7 +12,6 @@ import fracback
 from fracback.fem import assemble, l2_norm
 from fracback.grid import build_interval_mesh, build_square_mesh
 from fracback.mlf import (
-    MlParams,
     SpectralField,
     mittag_leffler,
     sample_on_mesh,
@@ -71,11 +70,11 @@ def test_rejects_positive_argument():
 
 def test_rejects_bad_orders():
     with pytest.raises(ValueError):
-        MlParams(0.0, 1.0)
+        mittag_leffler(0.0, 1.0, -1.0)
     with pytest.raises(ValueError):
-        MlParams(2.5, 1.0)
+        mittag_leffler(2.5, 1.0, -1.0)
     with pytest.raises(ValueError):
-        MlParams(0.5, 0.0)
+        mittag_leffler(0.5, 0.0, -1.0)
 
 
 def test_lemma_bounds_grid():
