@@ -30,8 +30,7 @@ class UnsupportedSize(ValueError):
     """Dense-path operation requested above :data:`DENSE_CAP` dofs."""
 
 
-def conjugate_gradient(apply_op, b, *, tol=1e-12, maxiter=1000, dot=None,
-                       precond=None, context=""):
+def conjugate_gradient(apply_op, b, *, tol=1e-12, maxiter=1000, dot=None, context=""):
     """Conjugate gradients for an SPD operator given as a callable.
 
     ``dot`` replaces the Euclidean inner product (used with the mass
@@ -47,20 +46,18 @@ def conjugate_gradient(apply_op, b, *, tol=1e-12, maxiter=1000, dot=None,
     if norm_b == 0.0:
         return x, 0
     r = b.copy()
-    z = precond(r) if precond is not None else r
-    p = z.copy()
-    rz = dot(r, z)
+    p = r.copy()
+    rr = dot(r, r)
     for k in range(1, maxiter + 1):
         Ap = apply_op(p)
-        alpha = rz / dot(p, Ap)
+        alpha = rr / dot(p, Ap)
         x += alpha * p
         r -= alpha * Ap
-        if np.sqrt(dot(r, r)) <= tol * norm_b:
+        rr_new = dot(r, r)
+        if np.sqrt(rr_new) <= tol * norm_b:
             return x, k
-        z = precond(r) if precond is not None else r
-        rz_new = dot(r, z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        p = r + (rr_new / rr) * p
+        rr = rr_new
     res = np.sqrt(dot(r, r)) / norm_b
     raise NumericalFailure(
         f"CG did not converge{' in ' + context if context else ''}: "
@@ -275,10 +272,8 @@ def l2_project(sys: FemSystem, f, *, subdivide=False) -> GridFunction:
     else:
         rule = _SIMPSON_1D if sys.mesh.dim == 1 else _MIDEDGE_2D
     load = _load_vector(sys.mesh, f, rule)[sys.interior_ids]
-    diag = sys.M.diagonal()
-    x, _ = conjugate_gradient(
-        lambda v: sys.M @ v, load, tol=1e-12, maxiter=400,
-        precond=lambda r: r / diag, context="l2_project mass solve")
+    x, _ = conjugate_gradient(lambda v: sys.M @ v, load, tol=1e-12, maxiter=400,
+                              context="l2_project mass solve")
     return GridFunction(sys, x)
 
 

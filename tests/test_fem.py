@@ -141,9 +141,7 @@ def test_project_reproduces_p1(sys2d):
     rng = np.random.default_rng(5)
     v = rng.standard_normal(sys2d.num_dofs)
     load = sys2d.M @ v
-    diag = sys2d.M.diagonal()
-    x, _ = conjugate_gradient(lambda w: sys2d.M @ w, load, tol=1e-12,
-                              maxiter=200, precond=lambda r: r / diag)
+    x, _ = conjugate_gradient(lambda w: sys2d.M @ w, load, tol=1e-12, maxiter=200)
     assert np.max(np.abs(x - v)) < 1e-10
 
 
