@@ -12,10 +12,10 @@ self-adjoint positive definite in the mass inner product.  A
   system is solved in closed form, Phi (Phi^T M rhs) / (gamma + r_N),
   without CG;
 * "series"   - F^N = r_N(A) for the step resolvent A = (tau^-a M + K)^-1 M,
-  in which r_N is a polynomial of degree N; a Chebyshev series of a few
-  terms, whose dropped tail is below gamma * cg_tol, is applied with the
-  band Cholesky factor of tau^-a M + K that time stepping already uses
-  (no history);
+  in which r_N is a polynomial of degree N; its Chebyshev series, cut
+  where the dropped tail is below gamma * cg_tol or else kept whole (then
+  F^N itself), is applied with the band Cholesky factor of
+  tau^-a M + K that time stepping already uses (no history);
 * "stepping" - one homogeneous N-step forward solve per application, the
   reference the other two are tested against.
 
@@ -55,9 +55,9 @@ class BackwardConfig:
 
     * "auto" - dense-spectral up to :data:`fracback.fem.DENSE_CAP` dofs;
       above it the Chebyshev series in the step resolvent, truncated where
-      its dropped tail is below gamma * cg_tol, if that keeps fewer than N
-      terms, and time stepping otherwise (e.g. gamma = 1e-5 with cg_tol =
-      1e-12 asks for 1e-17, below the rounding of the coefficients);
+      its dropped tail is below gamma * cg_tol, with all N + 1 terms when
+      no shorter head reaches that (e.g. gamma = 1e-5 with cg_tol = 1e-12
+      asks for 1e-17, below the rounding of the coefficients);
     * "off"  - plain time stepping, the slow reference path.
     """
 
@@ -102,8 +102,9 @@ class Propagator:
     "spectral" needs the dense eigenpairs of the system, refused above
     :data:`fracback.fem.DENSE_CAP` dofs.  "series" keeps the shortest
     Chebyshev head whose dropped tail is below ``series_tol`` (required
-    there) and turns into "stepping" when that head has N terms or more,
-    since stepping is then no dearer.  :meth:`for_config` picks the mode.
+    there), or all N + 1 coefficients, with bound 0, when no shorter head
+    does.  :meth:`for_config` picks the mode; only ``fast_path="off"``
+    gives "stepping".
     ``degree`` is the polynomial degree applied in the step resolvent (N
     unless "series", where it is also the number of solves per
     application) and ``bound`` the recorded truncation bound:
@@ -126,11 +127,8 @@ class Propagator:
         elif mode == "series":
             if series_tol is None:
                 raise ValueError('mode "series" needs series_tol')
-            coeffs, bound = truncate_series(terminal_series(sys, grid), series_tol)
-            if len(coeffs) < grid.N:
-                self.coeffs, self.degree, self.bound = coeffs, len(coeffs) - 1, bound
-            else:
-                mode = "stepping"
+            self.coeffs, self.bound = truncate_series(terminal_series(sys, grid), series_tol)
+            self.degree = len(self.coeffs) - 1
         elif mode != "stepping":
             raise ValueError(f"unknown propagator mode {mode!r}")
         self.mode = mode

@@ -137,29 +137,39 @@ def test_dense_cap_is_honoured(monkeypatch, grid):
         Propagator(sys, grid, "spectral")
 
 
-def test_propagator_falls_back_to_stepping(monkeypatch, grid):
-    # 15 dofs above a cap of 10: "auto" takes the series when gamma * cg_tol
-    # is reachable with fewer than N terms, stepping when it is not
+def test_propagator_keeps_series_above_dense_cap(monkeypatch, grid):
+    # 15 dofs above a cap of 10: "auto" always takes the series, keeping all
+    # N + 1 terms when no shorter head meets gamma * cg_tol; only
+    # fast_path="off" steps
     monkeypatch.setattr(fem, "DENSE_CAP", 10)
     sys = assemble(build_interval_mesh(16))
     v = np.linspace(-1.0, 1.0, sys.num_dofs)
     stepped = apply_F(sys, grid, GridFunction(sys, v)).values
+    norm_v = l2_norm(sys, GridFunction(sys, v))
     series = Propagator.for_config(sys, grid, BackwardConfig(gamma=1e-3))
     assert series.mode == "series" and series.degree < grid.N
     assert 0.0 < series.bound < 1e-3 * 1e-10
-    for cfg in (BackwardConfig(gamma=1e-5, cg_tol=1e-12),
-                BackwardConfig(gamma=1e-3, fast_path="off")):
+    for cfg in (BackwardConfig(gamma=1e-3), BackwardConfig(gamma=1e-5, cg_tol=1e-12)):
         prop = Propagator.for_config(sys, grid, cfg)
-        assert prop.describe() == {"mode": "stepping", "degree": grid.N, "bound": 0.0}
-        assert np.array_equal(prop.apply_values(v), stepped)
-    # a tolerance no tail falls below keeps all N + 1 terms: stepping
-    assert Propagator(sys, grid, "series", series_tol=0.0).mode == "stepping"
+        assert prop.mode == "series"
+        err = l2_norm(sys, GridFunction(sys, prop.apply_values(v) - stepped))
+        assert err <= (prop.bound + 1e-13) * norm_v
+    prop = Propagator.for_config(sys, grid, BackwardConfig(gamma=1e-3, fast_path="off"))
+    assert prop.describe() == {"mode": "stepping", "degree": grid.N, "bound": 0.0}
+    assert np.array_equal(prop.apply_values(v), stepped)
+    # a tolerance no tail falls below keeps all N + 1 terms
+    prop = Propagator(sys, grid, "series", series_tol=0.0)
+    assert prop.describe() == {"mode": "series", "degree": grid.N, "bound": 0.0}
     with pytest.raises(ValueError, match="series_tol"):
         Propagator(sys, grid, "series")
     assert set(sys._derived) == {("step", grid), ("series", grid)}
 
 
-def test_series_reconstruction_matches_stepping(monkeypatch, sys16, grid):
+@pytest.mark.parametrize("gamma, cg_tol", [(1e-3, 1e-10), (1e-5, 1e-12)],
+                         ids=["truncated", "full_series"])
+def test_series_reconstruction_matches_stepping(monkeypatch, sys16, grid, gamma, cg_tol):
+    # "full_series": gamma * cg_tol = 1e-17 lies below the rounding of the
+    # coefficients, so the series keeps all N + 1 terms
     monkeypatch.setattr(fem, "DENSE_CAP", 10)
     f = get_nonlinearity("L_sqrt1pu2:0.5")
     x = sys16.interior_coords()[:, 0]
@@ -167,7 +177,7 @@ def test_series_reconstruction_matches_stepping(monkeypatch, sys16, grid):
     g = apply_S(sys16, grid, truth, f)
     runs = {}
     for fast_path in ("auto", "off"):
-        cfg = BackwardConfig(gamma=1e-3, fast_path=fast_path)
+        cfg = BackwardConfig(gamma=gamma, cg_tol=cg_tol, fast_path=fast_path)
         runs[fast_path] = fixed_point_reconstruct(sys16, grid, g, f, cfg, truth=truth)
     series, stepping = runs["auto"], runs["off"]
     assert series.propagator["mode"] == "series"

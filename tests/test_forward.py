@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import splu
 
 from fracback.cq import cq_weights, scalar_terminal_factor, truncate_series
@@ -339,6 +339,9 @@ def _series_system(dim, n):
 @given(alpha=st.floats(0.05, 0.95), N=st.integers(2, 120), T=st.sampled_from([1.0, 10.0]),
        mesh=st.sampled_from([(1, 8), (1, 33), (2, 5), (2, 12)]),
        tol=st.sampled_from([1e-4, 1e-8, 1e-13]), seed=st.integers(0, 2 ** 16))
+# a target below rounding keeps all N + 1 coefficients: F^N itself
+@example(alpha=0.5, N=500, T=1.0, mesh=(2, 12), tol=1e-17, seed=0)
+@example(alpha=0.5, N=1000, T=1.0, mesh=(2, 12), tol=1e-17, seed=1)
 def test_series_matches_stepping_within_recorded_bound(alpha, N, T, mesh, tol, seed):
     # F^N = r_N(A) with spec(A) in (0, mu_max], so a Chebyshev head with
     # dropped tail b misses apply_F by at most b ||v||_M, plus rounding
