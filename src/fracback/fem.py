@@ -107,9 +107,6 @@ def assemble_full(mesh):
     cols = np.tile(conn, (1, nv)).ravel()
     M = sp.coo_matrix((m_vals, (rows, cols)), shape=(nn, nn)).tocsr()
     K = sp.coo_matrix((k_vals, (rows, cols)), shape=(nn, nn)).tocsr()
-    # enforce exact symmetry (assembly is symmetric up to ordering only)
-    M = (M + M.T) * 0.5
-    K = (K + K.T) * 0.5
     return M, K
 
 
