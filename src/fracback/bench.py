@@ -22,7 +22,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -144,12 +144,12 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        _check_keys(data, cls, "experiment")
         noise = data.get("noise")
         if not isinstance(noise, dict):
             raise ValueError("experiment spec needs a 'noise' object")
-        _check_keys(noise, NoiseSpec, "noise")
-        _check_keys(data.get("backward", {}), BackwardConfig, "backward")
+        _check_fields(data, cls, "experiment")
+        _check_fields(noise, NoiseSpec, "noise")
+        _check_fields(data.get("backward", {}), BackwardConfig, "backward")
         try:
             return cls(**dict(data, noise=NoiseSpec(**noise)))
         except TypeError as exc:
@@ -179,11 +179,29 @@ class ExperimentSpec:
                        N_ref=N_ref if self.N_ref is None else self.N_ref)
 
 
-def _check_keys(data: dict, kind, what: str) -> None:
-    """Reject keys of ``data`` that are not fields of the dataclass ``kind``."""
+# JSON types a field annotation accepts, where they differ from the annotation
+_JSON_TYPES = {float: (int, float), NoiseSpec: dict}
+
+
+def _check_fields(data: dict, kind, what: str) -> None:
+    """Reject keys of ``data`` that are not fields of the dataclass ``kind``,
+    and values whose JSON type does not fit their field's annotation.
+
+    An int field takes a JSON integer, a float field an integer or a
+    float, neither a boolean; an ``Optional`` field also takes null.
+    """
     unknown = set(data) - {f.name for f in fields(kind)}
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    hints = get_type_hints(kind)
+    for name, value in data.items():
+        types = get_args(hints[name]) or (hints[name],)
+        nullable = type(None) in types
+        if value is None and nullable:
+            continue
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES.get(types[0], types[0])):
+            raise ValueError(f"{what} field {name!r} must be {types[0].__name__}"
+                             f"{' or null' if nullable else ''}, got {value!r}")
 
 
 @dataclass

@@ -79,6 +79,28 @@ def test_spec_rejects_unknown_fields():
         ExperimentSpec.from_dict(data)
 
 
+def test_spec_checks_json_types():
+    # each value must fit its field's annotation; the error names the field
+    for path, value in ((("noise", "seed"), "7"), (("noise", "seed"), 7.0), (("n",), 8.0),
+                        (("repetitions",), True), (("output_dir",), 5),
+                        (("backward", "fp_max"), 3.0), (("backward", "gamma"), False),
+                        (("preset",), 1), (("backward",), [])):
+        data = small_spec().to_dict()
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValueError, match=f"field '{path[-1]}' must be"):
+            ExperimentSpec.from_dict(data)
+    # an integer fits a float field, null an Optional one
+    data = small_spec().to_dict()
+    data.update(alpha=1, T=2, n_ref=None)
+    data["noise"]["delta"] = 0
+    data["backward"]["gamma"] = 1
+    spec = ExperimentSpec.from_dict(data)
+    assert (spec.alpha, spec.T, spec.n_ref, spec.noise.delta) == (1, 2, None, 0)
+
+
 def test_spec_accepts_every_backward_field():
     # the backward keys of a spec are the fields of BackwardConfig
     defaults = BackwardConfig(gamma=1e-3)

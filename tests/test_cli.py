@@ -140,8 +140,13 @@ def test_zero_iteration_cap_is_usage_error(tmp_path, capsys, cap, no_solve):
 @pytest.mark.parametrize("override", [
     {"backward": {"gamma": 1e-3, "fp_max": 0}}, {"alpha": 1.5}, {"T": -1.0},
     {"nonlinearity": "nope"}, {"initial_data": "nope"},
-    {"backward": {"gamma": 1e-3, "fp_max": "3"}}],
-    ids=["fp_max", "alpha", "T", "nonlinearity", "initial_data", "fp_max_type"])
+    {"backward": {"gamma": 1e-3, "fp_max": "3"}},
+    {"noise": {"delta": 1e-3, "seed": "7"}}, {"noise": {"delta": 1e-3, "seed": 7.0}},
+    {"output_dir": 5}, {"nonlinearity": 3}, {"initial_data": 3},
+    {"backward": {"gamma": 1e-3, "fp_max": 3.0}}, {"n": 8.0}, {"repetitions": True}],
+    ids=["fp_max", "alpha", "T", "nonlinearity", "initial_data", "fp_max_type",
+         "seed_str", "seed_float", "output_dir_type", "nonlinearity_type",
+         "initial_data_type", "fp_max_float", "n_float", "repetitions_bool"])
 def test_invalid_spec_fails_before_any_solve(tmp_path, capsys, no_solve, command, override):
     cfg = write_config(tmp_path, **override)
     argv = [command, "--config", str(cfg), "--quiet"]
