@@ -2,17 +2,17 @@
 
 Weights are the binomial expansion of (1 - xi)^alpha, generated by the
 stable two-term recurrence.  Every CQ time stepper marches through
-:func:`march`, which keeps the full history (no compression) but
-accumulates it blockwise: each finished block of ``BLOCK`` states is pushed
-to all later steps with one GEMM, so a step itself reads only the states of
-its own block.  Beyond the N x d history the kernel needs O(N * BLOCK)
-memory for one Toeplitz slice of the weights.
+:func:`march`, which keeps the full history (no compression) but sums it
+blockwise: when a block of ``BLOCK`` steps begins, one GEMM pulls the far
+field of all earlier states into the block's own rows, so a step itself
+reads only the states of its block.  Beyond the N x d history the kernel
+needs O(N * BLOCK) memory for one Toeplitz slice of the weights.  The
+module needs NumPy only.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
 BLOCK = 32
 
@@ -40,31 +40,30 @@ def march(w: np.ndarray, hist: np.ndarray, step) -> np.ndarray:
     """Fill ``hist[1:]`` with hist[n] = step(n, sum_{j<n} w[n-j] hist[j]).
 
     ``hist`` is a C-contiguous (N+1, d) float64 array with ``hist[0]`` set
-    and ``w`` holds at least N+1 weights.  ``step`` returns the new state
-    and may read ``hist[:n]``; the sum it is handed is a fresh array that
-    it may overwrite, e.g. to form its right-hand side in place.  The rows
-    not yet written serve as the accumulator: within a block the near
-    terms are added directly, and once block [b0, b1) is final one
-    in-place GEMM adds its contribution w[n-j] hist[j] to every later row
-    n >= b1.  Returns ``hist``.
+    and ``w`` holds at least N+1 weights; the rows ``hist[1:]`` may hold
+    anything on entry.  ``step`` returns the new state and may read
+    ``hist[:n]``; the sum it is handed is a fresh array that it may
+    overwrite, e.g. to form its right-hand side in place.  Each block
+    [b0, b1) first writes its far field sum_{j<b0} w[n-j] hist[j] into its
+    own rows with one GEMM, W @ hist[:b0] with W[i, j] = w[b0+i-j]; the
+    steps of the block then add the near terms j in [b0, n).  W is a view
+    of one BLOCK x N Toeplitz slice of the weights, the kernel's only
+    memory beyond the history.  Returns ``hist``.
     """
-    # the GEMM accumulates into hist[b1:].T only if that view is Fortran-ordered
+    # the GEMM writes into the rows of hist directly only if they are C-contiguous
     if hist.dtype != np.float64 or not hist.flags.c_contiguous:
         raise ValueError("history must be a C-contiguous float64 array")
     N = hist.shape[0] - 1
-    hist[1:] = 0.0
-    if N >= BLOCK:
-        # the weights coupling a full block to the rows after it; C-contiguous,
-        # so far.T is Fortran-ordered and reaches dgemm without a copy
-        far = w[BLOCK + np.subtract.outer(np.arange(N + 1 - BLOCK), np.arange(BLOCK))]
+    # far[i, c] = w[N+i-c], so far[:, N-b0:N] is the block's W; the entries
+    # with c < i, clipped to w[N], are never read
+    far = w[np.minimum(N + np.subtract.outer(np.arange(BLOCK), np.arange(N)), N)]
     for b0 in range(0, N + 1, BLOCK):
         b1 = min(b0 + BLOCK, N + 1)
-        for n in range(max(b0, 1), b1):
+        r0 = max(b0, 1)
+        # the first block has no far field: the empty product writes zeros
+        np.matmul(far[r0 - b0:b1 - b0, N - b0:], hist[:b0], out=hist[r0:b1])
+        for n in range(r0, b1):
             hist[n] = step(n, hist[n] + w[n - b0:0:-1] @ hist[b0:n])
-        if b1 <= N:
-            # hist[b1:].T += hist[b0:b1].T @ far[:N+1-b1].T, accumulated in place
-            dgemm(1.0, hist[b0:b1].T, far[:N + 1 - b1].T, beta=1.0,
-                  c=hist[b1:].T, overwrite_c=True)
     return hist
 
 

@@ -4,6 +4,9 @@ Assembles mass/stiffness matrices with homogeneous Dirichlet dofs
 eliminated, computes L2 projections and nonlinear load vectors, and
 provides the discrete L2 norm and error.  The discrete
 Laplacian is never formed explicitly; it lives in the pencil (K, M).
+SciPy is imported where it is first needed, not with the module:
+``scipy.sparse`` by :func:`assemble_full` and ``scipy.linalg`` by
+:meth:`FemSystem.eigenpairs`.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 
 class NumericalFailure(RuntimeError):
@@ -75,6 +76,8 @@ def _local_matrices_1d(h):
 
 def assemble_full(mesh):
     """Full (all-node) mass and stiffness matrices in CSR format."""
+    import scipy.sparse as sp
+
     nn = mesh.num_nodes
     if mesh.dim == 1:
         h = mesh.h
@@ -170,6 +173,8 @@ class FemSystem:
             raise UnsupportedSize(
                 f"dense eigendecomposition capped at {DENSE_CAP} dofs, "
                 f"system has {self.num_dofs}")
+        import scipy.linalg
+
         # Fortran order lets LAPACK take both arrays without a copy
         return self.derived("eig", lambda: scipy.linalg.eigh(
             self.K.toarray(order="F"), self.M.toarray(order="F"),

@@ -10,6 +10,8 @@ already in the factor's order, one band solve and one gather.
 The homogeneous terminal map v -> U^N is the discrete solution operator,
 applied matrix-free either by one N-step solve (:func:`apply_F`) or by a
 short Chebyshev series in the step resolvent (:func:`apply_F_series`).
+SciPy is first imported when a step matrix is factored, by
+:class:`BandCholesky`; the CQ history sums need NumPy only.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from fracback.cq import chebyshev_terminal_series, cq_weights, march
 from fracback.fem import FemSystem, GridFunction, NumericalFailure, load_nonlinear
@@ -103,8 +103,10 @@ class BandCholesky:
     """
 
     def __init__(self, mat):
-        # csgraph is imported here, not at module level: it costs about
-        # 2.2 MB of memory that runs which never factor should not pay
+        # SciPy is imported here, not at module level: runs that never
+        # factor, such as the Mittag-Leffler oracle, should not pay for it
+        import scipy.sparse as sp
+        from scipy.linalg.lapack import dpbtrf, dpbtrs
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
         mat = sp.csr_matrix(mat)
@@ -119,6 +121,7 @@ class BandCholesky:
                                    "matrix is not positive definite")
         self.perm = perm
         self.iperm = np.argsort(perm)
+        self._dpbtrs = dpbtrs
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self.solve_permuted(b[self.perm])
@@ -128,7 +131,7 @@ class BandCholesky:
 
         ``pb`` may be overwritten; the solution comes back in the original order.
         """
-        x, _ = dpbtrs(self.factor, pb, overwrite_b=1)
+        x, _ = self._dpbtrs(self.factor, pb, overwrite_b=1)
         return x[self.iperm]
 
 

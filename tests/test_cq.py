@@ -101,7 +101,9 @@ def naive_march(w, hist, step):
 @example(N=2 * BLOCK + 1, d=3, alpha=0.5, lagged=True, seed=0)
 @settings(max_examples=80, deadline=None)
 def test_blocked_march_equals_naive(N, d, alpha, lagged, seed):
-    # the scalar-mode CQ-BE step, with or without a lagged source f(u_{n-1})
+    # the scalar-mode CQ-BE step, with or without a lagged source f(u_{n-1});
+    # hist[1:] starts as NaN, which must not leak: march reads no row before
+    # writing it
     rng = np.random.default_rng(seed)
     w = cq_weights(alpha, N)
     s = np.cumsum(w)
@@ -110,7 +112,7 @@ def test_blocked_march_equals_naive(N, d, alpha, lagged, seed):
     u0 = rng.standard_normal(d)
 
     def run(kernel):
-        hist = np.empty((N + 1, d))
+        hist = np.full((N + 1, d), np.nan)
         hist[0] = u0
 
         def step(n, conv):

@@ -150,8 +150,16 @@ def test_large_argument_expansion_above_alpha_one():
                 assert abs(mittag_leffler(alpha, beta, x) - want) <= 1e-13
 
 
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this fracback."""
+    src = os.path.dirname(os.path.dirname(fracback.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": path})
+
+
 def test_criterion_2_grid_does_not_load_mpmath():
-    code = (
+    _run_fresh(
         "import sys\n"
         "import numpy as np\n"
         "from fracback.mlf import mittag_leffler\n"
@@ -160,25 +168,36 @@ def test_criterion_2_grid_does_not_load_mpmath():
         "        mittag_leffler(alpha, 1.0, -x)\n"
         "        mittag_leffler(alpha, alpha, -x)\n"
         "assert 'mpmath' not in sys.modules\n")
-    src = os.path.dirname(os.path.dirname(fracback.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
-                   env={**os.environ, "PYTHONPATH": path})
 
 
 def test_import_does_not_load_scipy_special():
-    # no fracback code path needs scipy.special, and importing it adds about
-    # 3.5 MB to the peak memory of every run; scipy.sparse.csgraph (about
-    # 2.2 MB) is loaded only when a step matrix is factored
-    code = ("import sys\n"
-            "import fracback\n"
-            "for name in ('scipy.special', 'scipy.sparse.csgraph'):\n"
-            "    loaded = [m for m in sys.modules if m.startswith(name)]\n"
-            "    assert not loaded, loaded\n")
-    src = os.path.dirname(os.path.dirname(fracback.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
-                   env={**os.environ, "PYTHONPATH": path})
+    # the package, its CLI and the Mittag-Leffler oracle against the CQ
+    # symbol need NumPy only; importing SciPy costs every run about 0.25 s
+    # and 30 MB, so no scipy module may load until a system is assembled
+    _run_fresh(
+        "import sys\n"
+        "import numpy as np\n"
+        "import fracback, fracback.bench, fracback.cli\n"
+        "from fracback.cq import scalar_terminal_factor\n"
+        "from fracback.mlf import SpectralField, spectral_forward_linear\n"
+        "field = SpectralField('square', np.ones((3, 3)))\n"
+        "spectral_forward_linear(field, 0.5, 1.0)\n"
+        "scalar_terminal_factor(0.5, 1.0, 70, field.eigenvalues().ravel())\n"
+        "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+        "assert not loaded, loaded\n")
+
+
+def test_assembly_and_forward_solve_load_scipy():
+    _run_fresh(
+        "import sys\n"
+        "import numpy as np\n"
+        "from fracback import GridFunction, TimeGrid, assemble, build_interval_mesh\n"
+        "from fracback import get_nonlinearity, solve_forward\n"
+        "sys_ = assemble(build_interval_mesh(8))\n"
+        "assert 'scipy.sparse' in sys.modules\n"
+        "u0 = GridFunction(sys_, np.ones(sys_.num_dofs))\n"
+        "solve_forward(sys_, TimeGrid(1.0, 4, 0.5), u0, get_nonlinearity('zero'))\n"
+        "assert 'scipy.linalg' in sys.modules\n")
 
 
 # ---------------------------------------------------------------------------
