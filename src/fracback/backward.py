@@ -187,10 +187,12 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
     Starting from U_0 = 0, each pass computes the nonlinear contribution
     S^N U_j - F^N U_j (a nonlinear forward solve and one application of
     F^N), then updates U_{j+1} from the regularized linear solve with
-    right-hand side g_obs minus that contribution.  Stops on update norm
-    below ``fp_tol``, on the iteration cap, or on the divergence heuristic
-    (three consecutive update-norm increases, or a 1e6-fold blowup over
-    the first update).
+    right-hand side g_obs minus that contribution.  With f = 0 there is
+    no such contribution, so the first pass is the reconstruction and the
+    iteration stops there, converged.  Otherwise it stops on an update
+    norm below ``fp_tol``, on the iteration cap, or on the divergence
+    heuristic (three consecutive update-norm increases, or a 1e6-fold
+    blowup over the first update).
     The result records the update ratios e_{j+1}/e_j (the observed
     contraction), how the propagator applied F^N, and ``forward_solves``:
     the N-step forward solves run, one per S^N and one per F^N
@@ -236,7 +238,7 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
         history.append({"iter": j, "update_norm": e_j, "error_vs_truth": err,
                         "cg_iters": cg_it, "forward_solves": forward_solves})
         u = u_next
-        if e_j < cfg.fp_tol:
+        if f.is_zero or e_j < cfg.fp_tol:
             converged = True
             break
         # update norms rattling at the inner-solver noise floor are not

@@ -296,15 +296,23 @@ def test_operator_m_symmetry(sys16, grid):
         assert abs(a - b) / max(abs(a), abs(b)) < 1e-10
 
 
-def test_fixed_point_linear_two_iterations(sys16, grid):
+def test_fixed_point_linear_one_pass(sys16, grid):
+    # with f = 0 the first regularized solve is the reconstruction; its
+    # iterate is the dense closed form (gamma I + F)^-1 g, F = Phi R Phi^T M
     lam, phi = sys16.eigenpairs()
-    truth = GridFunction(sys16, phi[:, 0].copy())
+    x = sys16.interior_coords()[:, 0]
+    truth = GridFunction(sys16, np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x))
     g = apply_F(sys16, grid, truth)
-    cfg = BackwardConfig(gamma=1e-6)
-    res = fixed_point_reconstruct(sys16, grid, g, get_nonlinearity("zero"), cfg, truth=truth)
+    gamma = 1e-6
+    res = fixed_point_reconstruct(sys16, grid, g, get_nonlinearity("zero"),
+                                  BackwardConfig(gamma=gamma), truth=truth)
     assert res.converged and not res.diverged
-    assert res.outer_iters == 2
-    assert res.history[-1]["update_norm"] < 1e-10
+    assert res.outer_iters == 1 and len(res.history) == 1
+    assert res.update_ratios == []
+    r = scalar_terminal_factor(grid.alpha, grid.T, grid.N, lam)
+    F = phi @ (r[:, None] * (phi.T @ sys16.M.toarray()))
+    want = np.linalg.solve(gamma * np.eye(sys16.num_dofs) + F, g.values)
+    assert np.max(np.abs(res.u0_hat.values - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_fixed_point_semilinear_contracts(sys16, grid):

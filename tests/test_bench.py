@@ -440,7 +440,7 @@ def test_two_dimensional_pipeline():
 def test_iteration_history_zero_source():
     spec = small_spec(nonlinearity="zero")
     _, result = _run_single(spec.resolved())
-    assert len(result.history) <= 2
+    assert len(result.history) == 1
 
 
 def test_iteration_history_contracting():
