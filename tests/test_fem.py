@@ -53,12 +53,6 @@ def test_full_stiffness_kills_linear_function(sys1d):
     assert np.allclose((Kf @ x)[sys1d.interior_ids], 0.0, atol=1e-13)
 
 
-def test_exact_symmetry(sys2d):
-    for A in (sys2d.M, sys2d.K):
-        diff = (A - A.T).tocoo()
-        assert len(diff.data) == 0 or np.max(np.abs(diff.data)) == 0.0
-
-
 def test_spd(sys2d):
     rng = np.random.default_rng(3)
     for _ in range(5):
