@@ -144,6 +144,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"experiment spec must be a JSON object, got {type(data).__name__}")
         noise = data.get("noise")
         if not isinstance(noise, dict):
             raise ValueError("experiment spec needs a 'noise' object")

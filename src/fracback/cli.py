@@ -70,8 +70,14 @@ def _add_spec_options(sub):
 
 
 def _load_spec(args) -> ExperimentSpec:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except IsADirectoryError:
+        raise ValueError(f"config {args.config} is a directory, not a JSON file") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"config {args.config} must hold a JSON object, "
+                         f"got {type(data).__name__}")
     for _, dest, _, path in _OVERRIDES:
         value = getattr(args, dest, None)
         if value is None:
@@ -79,6 +85,8 @@ def _load_spec(args) -> ExperimentSpec:
         node = data
         for key in path[:-1]:
             node = node.setdefault(key, {})
+            if not isinstance(node, dict):
+                raise ValueError(f"experiment field {key!r} must be an object, got {node!r}")
         node[path[-1]] = value
     spec = ExperimentSpec.from_dict(data)
     return spec.at_paper_scale() if args.paper_scale else spec

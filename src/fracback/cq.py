@@ -5,9 +5,12 @@ stable two-term recurrence.  Every CQ time stepper marches through
 :func:`march`, which keeps the full history (no compression) but sums it
 blockwise: when a block of ``BLOCK`` steps begins, one GEMM pulls the far
 field of all earlier states into the block's own rows, so a step itself
-reads only the states of its block.  Beyond the N x d history the kernel
-needs O(N * BLOCK) memory for one Toeplitz slice of the weights.  The
-module needs NumPy only.
+reads only the states of its block, by one GEMV.  Both products read the
+weights from one BLOCK x (N + BLOCK) Toeplitz slice in contiguous,
+positive-stride views, so NumPy hands both to BLAS.  A step allocates
+nothing in the kernel: its sum goes into one scratch vector reused by
+every step.  Beyond the N x d history the kernel needs
+BLOCK * (N + BLOCK) + d doubles.  The module needs NumPy only.
 """
 
 from __future__ import annotations
@@ -42,28 +45,37 @@ def march(w: np.ndarray, hist: np.ndarray, step) -> np.ndarray:
     ``hist`` is a C-contiguous (N+1, d) float64 array with ``hist[0]`` set
     and ``w`` holds at least N+1 weights; the rows ``hist[1:]`` may hold
     anything on entry.  ``step`` returns the new state and may read
-    ``hist[:n]``; the sum it is handed is a fresh array that it may
-    overwrite, e.g. to form its right-hand side in place.  Each block
-    [b0, b1) first writes its far field sum_{j<b0} w[n-j] hist[j] into its
-    own rows with one GEMM, W @ hist[:b0] with W[i, j] = w[b0+i-j]; the
-    steps of the block then add the near terms j in [b0, n).  W is a view
-    of one BLOCK x N Toeplitz slice of the weights, the kernel's only
-    memory beyond the history.  Returns ``hist``.
+    ``hist[:n]``.  The sum it is handed is the march's one scratch
+    d-vector: the step may overwrite it, e.g. to form its right-hand side
+    in place, and may return it, since ``march`` copies the returned state
+    into ``hist[n]`` before the next step reuses the scratch.
+
+    The weights are read from one Toeplitz slice T[i, c] = w[N+i-c] of
+    BLOCK x (N + BLOCK) doubles.  Each block [b0, b1) first writes its far
+    field sum_{j<b0} w[n-j] hist[j] into its own rows with one GEMM,
+    T[:, N-b0:N] @ hist[:b0]; step n = b0 + i then sums its near terms
+    j in [b0, n) with one GEMV, T[i, N:N+i] @ hist[b0:n], into the scratch
+    and adds its far row.  Both weight views are contiguous with positive
+    strides, which keeps both products on BLAS.  Returns ``hist``.
     """
     # the GEMM writes into the rows of hist directly only if they are C-contiguous
     if hist.dtype != np.float64 or not hist.flags.c_contiguous:
         raise ValueError("history must be a C-contiguous float64 array")
     N = hist.shape[0] - 1
-    # far[i, c] = w[N+i-c], so far[:, N-b0:N] is the block's W; the entries
-    # with c < i, clipped to w[N], are never read
-    far = w[np.minimum(N + np.subtract.outer(np.arange(BLOCK), np.arange(N)), N)]
+    # T[i, c] = w[N+i-c] on c in [i, N+i]; the zeros around are never read
+    T = np.zeros((BLOCK, N + BLOCK))
+    for i in range(BLOCK):
+        T[i, i:N + i + 1] = w[N::-1]
+    scratch = np.empty(hist.shape[1])
     for b0 in range(0, N + 1, BLOCK):
         b1 = min(b0 + BLOCK, N + 1)
         r0 = max(b0, 1)
         # the first block has no far field: the empty product writes zeros
-        np.matmul(far[r0 - b0:b1 - b0, N - b0:], hist[:b0], out=hist[r0:b1])
+        np.matmul(T[r0 - b0:b1 - b0, N - b0:N], hist[:b0], out=hist[r0:b1])
         for n in range(r0, b1):
-            hist[n] = step(n, hist[n] + w[n - b0:0:-1] @ hist[b0:n])
+            np.matmul(T[n - b0, N:N + n - b0], hist[b0:n], out=scratch)
+            scratch += hist[n]
+            hist[n] = step(n, scratch)
     return hist
 
 
@@ -86,8 +98,13 @@ def scalar_terminal_factor(alpha: float, T: float, N: int, lam, source=None):
     denom = ta + lam
 
     def step(n, conv):
-        f_prev = source(U[n - 1]) if source is not None else 0.0
-        return (f_prev + ta * (s[n] - conv)) / denom
+        # (f(u_{n-1}) + ta (s_n - conv)) / denom, formed in conv
+        np.subtract(s[n], conv, out=conv)
+        conv *= ta
+        if source is not None:
+            conv += source(U[n - 1])
+        conv /= denom
+        return conv
 
     return march(w, U, step)[N]
 

@@ -188,9 +188,10 @@ def solve_forward(sys: FemSystem, grid: TimeGrid, u0: GridFunction,
     ``boundary`` response; f is evaluated once per step.
     Returns the C-contiguous (N+1) x d state array whose row n is U^n.
     The history sum comes from :func:`fracback.cq.march`, which accumulates
-    it blockwise in that array; beyond it a solve needs O(N * cq.BLOCK)
-    memory.  A non-finite state raises :class:`NumericalFailure` before it
-    enters the history.
+    it blockwise in that array and hands each step its scratch vector, in
+    which the step forms z in place; beyond the array a solve needs
+    O((N + cq.BLOCK) * cq.BLOCK + d) memory.  A non-finite state raises
+    :class:`NumericalFailure` before it enters the history.
     """
     if u0.system is not sys:
         raise ValueError("initial data defined on a different system")
@@ -201,10 +202,12 @@ def solve_forward(sys: FemSystem, grid: TimeGrid, u0: GridFunction,
     homogeneous = f.is_zero
     # U^{n-1} followed by one zero that stands for every boundary node
     state = np.zeros(d + 1)
+    # the products s_n U^0 and f(0) b_d, one at a time
+    prod = np.empty(d)
 
     def step(n, conv):
-        # z is formed in conv, which march hands over for this step only
-        conv -= ws.s[n] * hist[0]
+        # z is formed in conv, march's scratch vector
+        conv -= np.multiply(ws.s[n], hist[0], out=prod)
         conv *= -ws.tau_a
         if homogeneous:
             u = ws.resolvent(conv)
@@ -213,7 +216,7 @@ def solve_forward(sys: FemSystem, grid: TimeGrid, u0: GridFunction,
             fu = f(state)
             conv += fu[:d]
             u = ws.resolvent(conv)
-            u += fu[d] * ws.boundary
+            u += np.multiply(fu[d], ws.boundary, out=prod)
         if not np.all(np.isfinite(u)):
             raise NumericalFailure(f"forward step {n} produced non-finite values")
         return u

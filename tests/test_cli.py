@@ -65,6 +65,23 @@ def test_missing_config_file():
     assert main(["backward", "--config", "/nonexistent/cfg.json"]) == 1
 
 
+@pytest.mark.parametrize("config", ["directory", [1, 2], {"backward": 5}],
+                         ids=["directory", "top_level_list", "backward_int"])
+def test_malformed_config_is_usage_error(tmp_path, capsys, no_solve, config):
+    # refused before the --gamma override is applied or anything is solved
+    if config == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+    assert main(["backward", "--config", str(path), "--quiet", "--gamma", "1e-3"]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "out").exists()
+    if isinstance(config, list):
+        with pytest.raises(ValueError, match="JSON object"):
+            bench.ExperimentSpec.from_dict(config)
+
+
 def test_forward_writes_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["forward", "--config", str(cfg), "--quiet"]) == 0

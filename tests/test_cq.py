@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln
 
+from fracback import cq
 from fracback.cq import BLOCK, cq_weights, march, scalar_terminal_factor, truncate_series
 
 
@@ -103,7 +104,8 @@ def naive_march(w, hist, step):
 def test_blocked_march_equals_naive(N, d, alpha, lagged, seed):
     # the scalar-mode CQ-BE step, with or without a lagged source f(u_{n-1});
     # hist[1:] starts as NaN, which must not leak: march reads no row before
-    # writing it
+    # writing it.  The blocked march must also take a read-only w longer
+    # than N+1, and a step that overwrites its sum in place and returns it.
     rng = np.random.default_rng(seed)
     w = cq_weights(alpha, N)
     s = np.cumsum(w)
@@ -111,19 +113,60 @@ def test_blocked_march_equals_naive(N, d, alpha, lagged, seed):
     denom = ta + rng.uniform(1.0, 1e3, d)
     u0 = rng.standard_normal(d)
 
-    def run(kernel):
+    def run(kernel, weights=w, in_place=False):
         hist = np.full((N + 1, d), np.nan)
         hist[0] = u0
 
         def step(n, conv):
             f_prev = np.sqrt(1.0 + hist[n - 1] ** 2) if lagged else 0.0
-            return (f_prev + ta * (s[n] * hist[0] - conv)) / denom
+            if not in_place:
+                return (f_prev + ta * (s[n] * hist[0] - conv)) / denom
+            conv -= s[n] * hist[0]
+            conv *= -ta
+            conv += f_prev
+            conv /= denom
+            return conv
 
-        return kernel(w, hist, step)
+        return kernel(weights, hist, step)
 
     naive = run(naive_march)
-    blocked = run(march)
-    assert np.max(np.abs(blocked - naive)) <= 1e-13 * max(1.0, np.max(np.abs(naive)))
+    bound = 1e-13 * max(1.0, np.max(np.abs(naive)))
+    for blocked in (run(march), run(march, weights=cq_weights(alpha, N + 7)),
+                    run(march, in_place=True)):
+        assert np.max(np.abs(blocked - naive)) <= bound
+
+
+class _StrideCheckedNumPy:
+    """NumPy, except that ``matmul`` first asserts that every array operand
+    and ``out`` has only positive strides, the layout NumPy hands to BLAS;
+    it counts its calls."""
+
+    def __init__(self):
+        self.matmul_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        for a in (*args, kwargs.get("out")):
+            if isinstance(a, np.ndarray):
+                assert all(stride > 0 for stride in a.strides), a.strides
+        self.matmul_calls += 1
+        return np.matmul(*args, **kwargs)
+
+
+@pytest.mark.parametrize("N", [BLOCK - 1, 3 * BLOCK + 5])
+def test_march_products_stay_on_blas(monkeypatch, N):
+    # a negative-stride weight view sends NumPy's matmul to its own slow
+    # loop instead of BLAS; every product of the kernel is one matmul,
+    # a GEMV per step and a GEMM per block
+    checked = _StrideCheckedNumPy()
+    monkeypatch.setattr(cq, "np", checked)
+    w = cq_weights(0.5, N)
+    hist = np.empty((N + 1, 4))
+    hist[0] = 1.0
+    march(w, hist, lambda n, conv: 0.5 * conv)
+    assert checked.matmul_calls == N + len(range(0, N + 1, BLOCK))
 
 
 def test_march_rejects_non_contiguous_history():
