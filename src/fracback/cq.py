@@ -6,8 +6,8 @@ stable two-term recurrence.  Every CQ time stepper marches through
 blockwise: when a block of ``BLOCK`` steps begins, one GEMM pulls the far
 field of all earlier states into the block's own rows, so a step itself
 reads only the states of its block, by one GEMV.  Both products read the
-weights from one BLOCK x (N + BLOCK) Toeplitz slice in contiguous,
-positive-stride views, so NumPy hands both to BLAS.  A step allocates
+weights from one BLOCK x (N + BLOCK) Toeplitz slice through views with
+positive strides, so NumPy hands both to BLAS.  A step allocates
 nothing in the kernel: its sum goes into one scratch vector reused by
 every step.  Beyond the N x d history the kernel needs
 BLOCK * (N + BLOCK) + d doubles.  The module needs NumPy only.
@@ -55,8 +55,9 @@ def march(w: np.ndarray, hist: np.ndarray, step) -> np.ndarray:
     field sum_{j<b0} w[n-j] hist[j] into its own rows with one GEMM,
     T[:, N-b0:N] @ hist[:b0]; step n = b0 + i then sums its near terms
     j in [b0, n) with one GEMV, T[i, N:N+i] @ hist[b0:n], into the scratch
-    and adds its far row.  Both weight views are contiguous with positive
-    strides, which keeps both products on BLAS.  Returns ``hist``.
+    and adds its far row.  Both weight views run forward in memory (their
+    strides are positive), which keeps both products on BLAS.  Returns
+    ``hist``.
     """
     # the GEMM writes into the rows of hist directly only if they are C-contiguous
     if hist.dtype != np.float64 or not hist.flags.c_contiguous:
