@@ -19,7 +19,9 @@ to 4, s = |x|^(1/alpha) from 1e-3 to 60), to 2e-12 against ``erfcx`` for
 E_{1/2,1} up to |x| = 1e6, and to 1e-13 absolute against the
 large-argument expansion for alpha in (1, 2) up to |x| = 2e5.  A value
 costs one complex logarithm and two exponentials at each of at most 201
-nodes (28 for alpha <= 1 and beta <= alpha + 1), whatever x is.
+nodes (28 for alpha <= 1 and beta <= alpha + 1), whatever x is.  The
+28-node rule (:func:`branch_cut_rule`, :func:`parabola`) also evaluates
+the CQ symbol r_N in :mod:`fracback.cq`.
 
 Exact branches remain for x = 0 (1/Gamma(beta)) and for the order pairs
 (1, 1) and (2, 1), which reduce to exp and cos.
@@ -101,6 +103,28 @@ def _unbounded_contour(phi, p, log_tol):
     return n, mu, h
 
 
+def parabola(n, mu, h):
+    """Upper half of the trapezoidal rule on s(u) = mu (1 + iu)^2: the nodes
+    s_k = s(kh), k = 0..n, and the derivatives s'(kh) = 2 mu (i - kh), the
+    one at u = 0 halved.
+
+    For a transform F real on the real axis the nodes at -u are the
+    conjugates of those at u, so the inverse at t = 1,
+    (1/2 pi i) int e^s F(s) ds, is (h/pi) Im sum_k e^(s_k) F(s_k) s'(kh).
+    """
+    u = h * np.arange(n + 1)
+    ds = 2.0 * mu * (1j - u)
+    ds[0] *= 0.5
+    return mu * (1.0 + 1j * u) ** 2, ds
+
+
+def branch_cut_rule():
+    """(n, mu, h) of the rule for a transform whose only singularity is
+    the branch cut (-inf, 0], of strength 0 at the origin: E_{alpha,1} for
+    alpha <= 1 (28 nodes, mu ~ 1.505, h ~ 0.181)."""
+    return _unbounded_contour(0.0, 0.0, _LOG_TOL)
+
+
 def _contour_inversion(alpha, beta, x):
     """E_{alpha,beta}(x) for x < 0 on the cheaper admissible contour."""
     p = max(0.0, 2.0 * (beta - alpha - 1.0))    # strength of the branch point
@@ -119,14 +143,9 @@ def _contour_inversion(alpha, beta, x):
         if n <= _MAX_NODES:
             break
         log_tol += math.log(10.0)
-    u = h * np.arange(n + 1)
-    z = mu * (1.0 + 1j * u) ** 2
+    z, dz = parabola(n, mu, h)
     log_z = np.log(z)
-    terms = (np.exp(z + (alpha - beta) * log_z) / (np.exp(alpha * log_z) - x)
-             * (2.0 * mu * (1j - u)))
-    # the nodes at -u are the conjugates of those at u: sum one half of the
-    # rule, counting the node u = 0 once
-    terms[0] *= 0.5
+    terms = np.exp(z + (alpha - beta) * log_z) / (np.exp(alpha * log_z) - x) * dz
     value = h / math.pi * float(np.sum(terms.imag))
     if poles_outside:
         # s e^(i pi/alpha), its real part as -sin(pi/alpha - pi/2): exactly 0

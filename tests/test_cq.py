@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -90,6 +91,58 @@ def naive_march(w, hist, step):
     for n in range(1, hist.shape[0]):
         hist[n] = step(n, w[n:0:-1] @ hist[:n])
     return hist
+
+
+def recurrence_symbol(alpha, T, N, lam):
+    """r_N(lam) by the scalar CQ-BE recurrence from u_0 = 1, the march the
+    contour quadrature replaces."""
+    w = cq_weights(alpha, N)
+    s = np.cumsum(w)
+    ta = (T / N) ** (-alpha)
+    U = np.ones((N + 1, lam.size))
+    return naive_march(w, U, lambda n, conv: ta * (s[n] - conv) / (ta + lam))[N]
+
+
+def mp_recurrence_symbol(alpha, T, N, lam):
+    """The same recurrence in 40-digit arithmetic, for one lam."""
+    with mpmath.workdps(40):
+        a, lam = mpmath.mpf(alpha), mpmath.mpf(lam)
+        ta = (mpmath.mpf(T) / N) ** (-a)
+        w = [mpmath.mpf(1)]
+        for j in range(1, N + 1):
+            w.append(w[-1] * (j - 1 - a) / j)
+        u, s = [mpmath.mpf(1)], w[0]
+        for n in range(1, N + 1):
+            s += w[n]
+            u.append(ta * (s - mpmath.fsum(w[n - j] * u[j] for j in range(n))) / (ta + lam))
+        return float(u[N])
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.1, 0.5, 0.95, 0.9999])
+@pytest.mark.parametrize("T", [0.01, 1.0, 100.0])
+def test_symbol_matches_recurrence(alpha, T):
+    # the contour quadrature for N >= 3 and the recurrence it replaces; at
+    # N = 1, 2 the parabola would cross the branch cut's periodic image
+    lam = np.concatenate([[0.0, 1e-6], np.logspace(0, 9)])
+    for N in (1, 2, 3, 7, 40, 333, 1000):
+        got = scalar_terminal_factor(alpha, T, N, lam)
+        assert np.max(np.abs(got - recurrence_symbol(alpha, T, N, lam))) <= 2e-13, N
+
+
+@pytest.mark.parametrize("alpha, T, lam", [(0.1, 1.0, 10.0), (0.5, 1.0, np.pi ** 2),
+                                           (0.9, 100.0, 1e3), (0.5, 0.01, 1e6),
+                                           (0.3, 1.0, 0.0)])
+def test_symbol_matches_40_digit_recurrence(alpha, T, lam):
+    got = scalar_terminal_factor(alpha, T, 300, lam)[0]
+    assert abs(got - mp_recurrence_symbol(alpha, T, 300, lam)) <= 5e-15
+
+
+@pytest.mark.parametrize("N", [2, 40])
+@pytest.mark.parametrize("bad", [-1e-12, -np.inf, np.inf, np.nan])
+def test_symbol_rejects_negative_or_nonfinite_lam(N, bad):
+    # for lam < 0, D^a + lam tau^a has a zero off the branch cut
+    with pytest.raises(ValueError):
+        scalar_terminal_factor(0.5, 1.0, N, np.array([1.0, bad]))
 
 
 @given(N=st.integers(1, 3 * BLOCK + 1), d=st.integers(1, 40),

@@ -304,7 +304,14 @@ def test_apply_s_linear_source_scalar_oracle(sys16):
     lam, phi = sys16.eigenpairs()
     v = GridFunction(sys16, phi[:, 2].copy())
     out = apply_S(sys16, grid, v, get_nonlinearity("identity"))
-    ref = scalar_terminal_factor(0.5, 1.0, 50, lam[2], source=lambda u: u)[0]
+    # tau^-a sum_j w[n-j](u_j - u_0) + lam u_n = u_{n-1} from u_0 = 1
+    w = cq_weights(0.5, 50)
+    s = np.cumsum(w)
+    ta = (1.0 / 50) ** (-0.5)
+    u = np.ones(51)
+    for n in range(1, 51):
+        u[n] = (u[n - 1] + ta * (s[n] - w[n:0:-1] @ u[:n])) / (ta + lam[2])
+    ref = u[50]
     coeff = phi[:, 2] @ (sys16.M @ out.values)
     assert coeff == pytest.approx(ref, rel=1e-11, abs=0)
 
