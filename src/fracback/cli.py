@@ -98,9 +98,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_mlf = sub.add_parser("mlf", help="evaluate a Mittag-Leffler function")
-    p_mlf.add_argument("--alpha", type=float, required=True)
-    p_mlf.add_argument("--beta", type=float, default=1.0)
-    p_mlf.add_argument("--x", type=float, required=True)
+    p_mlf.add_argument("--alpha", type=float, required=True,
+                       help="order in (0, 1], or 2 with --beta 1")
+    p_mlf.add_argument("--beta", type=float, default=1.0,
+                       help="second order in (0, alpha + 1] (default 1)")
+    p_mlf.add_argument("--x", type=float, required=True,
+                       help="finite argument x <= 0")
 
     p_par = sub.add_parser("params", help="parameter choice from noise level")
     p_par.add_argument("--delta", type=float, required=True)

@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 
@@ -37,8 +36,20 @@ def test_mlf_value(capsys):
 
 
 def test_mlf_large_argument_negative_exponent_form(capsys):
-    assert main(["mlf", "--alpha", "1.5", "--x", "-2e5"]) == 0
-    assert math.isfinite(float(capsys.readouterr().out))
+    # alpha > 1 lies outside the evaluator's domain, bar (alpha, beta) = (2, 1)
+    assert main(["mlf", "--alpha", "1.5", "--x", "-2e5"]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("args", [
+    ["--beta", "inf", "--x", "-1"], ["--beta", "120", "--x", "-1"],
+    ["--beta", "nan", "--x", "-1"], ["--x", "nan"], ["--x", "-inf"],
+    ["--beta", "2", "--x", "-1"]])
+def test_mlf_outside_domain_is_usage_error(args, capsys):
+    assert main(["mlf", "--alpha", "0.5", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
 
 
 def test_params_preset(capsys):

@@ -1,4 +1,3 @@
-import cmath
 import math
 import os
 import subprocess
@@ -13,6 +12,7 @@ from fracback.fem import assemble, l2_norm
 from fracback.grid import build_interval_mesh, build_square_mesh
 from fracback.mlf import (
     SpectralField,
+    branch_cut_rule,
     mittag_leffler,
     sample_on_mesh,
     spectral_backward_linear,
@@ -21,23 +21,20 @@ from fracback.mlf import (
 
 
 def test_value_at_zero():
-    for alpha in (0.2, 0.7, 1.0, 1.6):
+    for alpha in (0.2, 0.7, 1.0):
         assert mittag_leffler(alpha, 1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
-    assert mittag_leffler(0.5, 2.0, 0.0) == pytest.approx(1.0 / gamma_fn(2.0))
+    assert mittag_leffler(1.0, 2.0, 0.0) == pytest.approx(1.0 / gamma_fn(2.0))
 
 
 def test_value_at_zero_is_reciprocal_gamma():
-    # E_{a,b}(0) = 1/Gamma(b): 1e-14 relative where 1/Gamma(b) is a normal
-    # float; past b = 171.6, where Gamma overflows, it is below the smallest
-    # normal float and zero is returned
-    tiny = np.finfo(np.float64).tiny
-    beta = np.concatenate([np.geomspace(1e-6, 200.0, 1001), np.linspace(170.0, 175.0, 51)])
-    got = np.array([mittag_leffler(0.5, b, 0.0) for b in beta])
+    # E_{a,b}(0) = 1/Gamma(b): 1e-14 relative up to b = a + 1; below
+    # b = 5.6e-309, where Gamma overflows, 1/Gamma(b) ~ b is subnormal and
+    # zero is returned
+    beta = np.geomspace(1e-6, 2.0, 1001)
+    got = np.array([mittag_leffler(1.0, b, 0.0) for b in beta])
     want = rgamma(beta)
-    normal = want >= tiny
-    assert np.all(np.abs(got - want)[normal] <= 1e-14 * want[normal])
-    assert np.all(np.abs(got - want)[~normal] <= tiny)
-    assert np.all(got[beta > 172.0] == 0.0)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+    assert mittag_leffler(1.0, 1e-310, 0.0) == 0.0
 
 
 def test_exponential_identity():
@@ -64,17 +61,28 @@ def test_erfcx_identity_wide_range():
 
 
 def test_rejects_positive_argument():
+    # and non-finite ones, which no order accepts
+    for x in (0.1, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            mittag_leffler(0.5, 1.0, x)
     with pytest.raises(ValueError):
-        mittag_leffler(0.5, 1.0, 0.1)
+        mittag_leffler(2.0, 1.0, math.nan)
 
 
 def test_rejects_bad_orders():
-    with pytest.raises(ValueError):
-        mittag_leffler(0.0, 1.0, -1.0)
-    with pytest.raises(ValueError):
-        mittag_leffler(2.5, 1.0, -1.0)
-    with pytest.raises(ValueError):
-        mittag_leffler(0.5, 0.0, -1.0)
+    # beyond alpha in (0, 1] only the exact pair (2, 1) is taken, and beta
+    # may not exceed alpha + 1
+    for alpha, beta in ((0.0, 1.0), (2.5, 1.0), (0.5, 0.0), (1.5, 1.0),
+                        (2.0, 2.0), (1.0 + 1e-15, 1.0), (0.5, 1.5 + 1e-15),
+                        (0.5, math.inf), (0.5, 120.0), (math.nan, 1.0),
+                        (0.5, math.nan)):
+        with pytest.raises(ValueError):
+            mittag_leffler(alpha, beta, -1.0)
+
+
+def test_branch_cut_rule_is_pinned():
+    # the CQ symbol and the oracle depend on these exact bits
+    assert branch_cut_rule() == (27, 1.5048769942064695, 0.18125923248023865)
 
 
 def test_lemma_bounds_grid():
@@ -126,8 +134,8 @@ def test_multiprecision_reference_band():
             return float(tot)
 
     cases = [(alpha, beta, -(s ** alpha))
-             for alpha in (0.05, 0.3, 0.5, 0.9, 0.98, 1.2, 1.5, 1.9)
-             for beta in (0.3, alpha, 1.0, 2.5, 4.0)
+             for alpha in (0.05, 0.3, 0.5, 0.9, 0.98)
+             for beta in (0.3, alpha, 1.0, alpha + 1.0)
              for s in (1e-3, 0.05, *np.geomspace(0.5, 60.0, 7))]
     # a point of criterion 2's grid (s = 34.19) and two tiny orders
     cases += [(0.98, 0.98, -np.geomspace(1e-3, 50.0, 49)[46]),
@@ -135,19 +143,6 @@ def test_multiprecision_reference_band():
     for alpha, beta, x in cases:
         assert mittag_leffler(alpha, beta, x) == pytest.approx(
             ref(alpha, beta, x), rel=2e-12, abs=0.0)
-
-
-def test_large_argument_expansion_above_alpha_one():
-    # E_{a,b}(x) = -sum_k x^-k / Gamma(b - a k) + (1/a) sum_+- s*^(1-b) e^s*
-    # with s* = |x|^(1/a) e^(+-i pi/a); the k > 15 terms are below 1e-50 here
-    k = np.arange(1, 16, dtype=np.float64)
-    for alpha in (1.2, 1.5, 1.8):
-        for beta in (1.0, alpha, 2.5):
-            for x in (-5.2e3, -3.2e4, -2e5):
-                star = cmath.rect((-x) ** (1.0 / alpha), math.pi / alpha)
-                want = (-float(np.sum(x ** -k * rgamma(beta - alpha * k)))
-                        + 2.0 / alpha * (star ** (1.0 - beta) * cmath.exp(star)).real)
-                assert abs(mittag_leffler(alpha, beta, x) - want) <= 1e-13
 
 
 def _run_fresh(code):
