@@ -69,10 +69,12 @@ class BackwardConfig:
     fast_path: str = "auto"
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValueError(f"regularization parameter must be positive, got {self.gamma}")
-        if self.fp_tol <= 0.0 or self.cg_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise ValueError(f"regularization parameter must be positive and finite, "
+                             f"got {self.gamma}")
+        if not all(math.isfinite(tol) and tol > 0.0 for tol in (self.fp_tol, self.cg_tol)):
+            raise ValueError(f"tolerances must be positive and finite, got "
+                             f"fp_tol={self.fp_tol}, cg_tol={self.cg_tol}")
         if self.fp_max < 1 or self.cg_max < 1:
             raise ValueError(f"iteration caps must be positive, got fp_max={self.fp_max}, "
                              f"cg_max={self.cg_max}")

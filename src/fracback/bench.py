@@ -106,8 +106,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.delta < 0.0:
-            raise ValueError(f"noise level must be >= 0, got {self.delta}")
+        if not (np.isfinite(self.delta) and self.delta >= 0.0):
+            raise ValueError(f"noise level must be finite and >= 0, got {self.delta}")
         if self.mode not in _NOISE_MODES:
             raise ValueError(f"noise mode must be one of {_NOISE_MODES}, got {self.mode!r}")
 
@@ -159,8 +159,14 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """Read and check a spec file; a directory, malformed JSON or a
+        document that is not a valid spec object raise ``ValueError``."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except IsADirectoryError:
+            raise ValueError(f"config {path} is a directory, not a JSON file") from None
+        return cls.from_dict(data)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -230,6 +236,9 @@ def _nearest_multiple(n: int, target: int) -> int:
 
 
 def _resolve(spec: ExperimentSpec) -> ResolvedSpec:
+    for name, value in (("n", spec.n), ("n_ref", spec.n_ref)):
+        if value is not None and value < 2:
+            raise ValueError(f"a mesh needs {name} >= 2 cells per side, got {value}")
     ref_defaults = _DESK_REFERENCE[spec.dim]
     n_ref_target = spec.n_ref if spec.n_ref is not None else ref_defaults[0]
     N_ref = spec.N_ref if spec.N_ref is not None else ref_defaults[1]

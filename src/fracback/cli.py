@@ -3,6 +3,11 @@
 Subcommands: ``forward`` (direct solve), ``backward`` (single
 reconstruction with its iteration log), ``mlf`` (Mittag-Leffler values),
 ``table`` (noise-level sweep), ``params`` (parameter choice).
+``forward``, ``backward`` and ``table`` take every value of a run from
+the JSON file named by ``--config`` (read by
+:meth:`fracback.bench.ExperimentSpec.from_json`); besides it they have
+``--paper-scale`` and ``--quiet``, and ``table`` the sweep's
+``--deltas`` and ``--alphas``.
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 the
 backward iteration diverged (sweeps continue past divergent cells).
 """
@@ -28,7 +33,8 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # flags are spelled in full: "--alpha" must not stand for table's "--alphas"
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # read "-2e5" as a negative value, not as a flag (argparse before
         # Python 3.13 knows negative numbers only without an exponent)
         self._negative_number_matcher = re.compile(
@@ -38,57 +44,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_OVERRIDES = (
-    # (flag, dest, type, spec path)
-    ("--alpha", "alpha", float, ("alpha",)),
-    ("--T", "T", float, ("T",)),
-    ("--delta", "delta", float, ("noise", "delta")),
-    ("--mode", "mode", str, ("noise", "mode")),
-    ("--seed", "seed", int, ("noise", "seed")),
-    ("--gamma", "gamma", float, ("backward", "gamma")),
-    ("--preset", "preset", str, ("preset",)),
-    ("--mesh-n", "mesh_n", int, ("n",)),
-    ("--steps", "steps", int, ("N",)),
-    ("--n-ref", "n_ref", int, ("n_ref",)),
-    ("--steps-ref", "N_ref", int, ("N_ref",)),
-    ("--dim", "dim", int, ("dim",)),
-    ("--nonlinearity", "nonlinearity", str, ("nonlinearity",)),
-    ("--initial-data", "initial_data", str, ("initial_data",)),
-    ("--repetitions", "repetitions", int, ("repetitions",)),
-    ("--fast-path", "fast_path", str, ("backward", "fast_path")),
-    ("--out", "out", str, ("output_dir",)),
-)
-
-
 def _add_spec_options(sub):
     sub.add_argument("--config", required=True, help="experiment spec JSON file")
-    for flag, dest, typ, _ in _OVERRIDES:
-        sub.add_argument(flag, dest=dest, type=typ, default=None)
     sub.add_argument("--paper-scale", action="store_true",
                      help="paper-scale reference grids (slow)")
     sub.add_argument("--quiet", action="store_true")
 
 
 def _load_spec(args) -> ExperimentSpec:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except IsADirectoryError:
-        raise ValueError(f"config {args.config} is a directory, not a JSON file") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"config {args.config} must hold a JSON object, "
-                         f"got {type(data).__name__}")
-    for _, dest, _, path in _OVERRIDES:
-        value = getattr(args, dest, None)
-        if value is None:
-            continue
-        node = data
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-            if not isinstance(node, dict):
-                raise ValueError(f"experiment field {key!r} must be an object, got {node!r}")
-        node[path[-1]] = value
-    spec = ExperimentSpec.from_dict(data)
+    spec = ExperimentSpec.from_json(args.config)
     return spec.at_paper_scale() if args.paper_scale else spec
 
 
@@ -117,7 +81,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=helptext)
         _add_spec_options(p)
         if name == "table":
-            p.add_argument("--deltas", type=str, default=None,
+            p.add_argument("--deltas", type=str, required=True,
                            help="comma-separated decreasing noise levels")
             p.add_argument("--alphas", type=str, default=None,
                            help="comma-separated fractional orders")
@@ -187,8 +151,6 @@ def _cmd_backward(args) -> int:
 
 def _cmd_table(args) -> int:
     spec = _load_spec(args)
-    if not args.deltas:
-        raise ValueError("table needs --deltas with at least two decreasing values")
     deltas = [float(v) for v in args.deltas.split(",")]
     alphas = [float(v) for v in args.alphas.split(",")] if args.alphas else None
     table = run_table(spec, deltas, alphas)

@@ -79,8 +79,8 @@ class TimeGrid:
     alpha: float
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise ValueError(f"terminal time must be positive, got {self.T}")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ValueError(f"terminal time must be positive and finite, got {self.T}")
         if self.N < 1:
             raise ValueError(f"need at least one time step, got {self.N}")
         if not 0.0 < self.alpha < 1.0:

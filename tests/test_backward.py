@@ -50,6 +50,12 @@ def test_config_validation():
     for caps in ({"fp_max": 0}, {"fp_max": -1}, {"cg_max": 0}, {"cg_max": -1}):
         with pytest.raises(ValueError, match="iteration caps"):
             BackwardConfig(gamma=1e-3, **caps)
+    # NaN and infinities pass a plain "<= 0" test; they are refused too
+    for bad in (math.nan, math.inf, -math.inf):
+        for fields in ({"gamma": bad}, {"gamma": 1e-3, "fp_tol": bad},
+                       {"gamma": 1e-3, "cg_tol": bad}):
+            with pytest.raises(ValueError, match="positive and finite"):
+                BackwardConfig(**fields)
 
 
 def test_zero_rhs_zero_iterations(sys16, grid):

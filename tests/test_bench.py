@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import json
 import logging
+import math
 import weakref
 
 import numpy as np
@@ -60,6 +61,9 @@ def test_initial_data_registry():
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(delta=-0.1)
+    for delta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            NoiseSpec(delta=delta)
     with pytest.raises(ValueError):
         NoiseSpec(delta=0.1, mode="weird")
 
@@ -130,6 +134,11 @@ def test_resolve_requires_nesting():
     spec = small_spec(n=10, n_ref=64)
     with pytest.raises(ValueError):
         spec.resolved()
+    # a mesh needs two cells per side; n = 0 is refused before n_ref % n
+    for fields in ({"n": 0}, {"n": -4}, {"n_ref": 1},
+                   {"n": 0, "N": None, "preset": "paper-ex1", "backward": {}}):
+        with pytest.raises(ValueError, match=">= 2 cells per side"):
+            small_spec(**fields).resolved()
 
 
 def test_resolve_preset_derives_parameters():

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import pytest
 
@@ -76,21 +78,21 @@ def test_missing_config_file():
     assert main(["backward", "--config", "/nonexistent/cfg.json"]) == 1
 
 
-@pytest.mark.parametrize("config", ["directory", [1, 2], {"backward": 5}],
-                         ids=["directory", "top_level_list", "backward_int"])
-def test_malformed_config_is_usage_error(tmp_path, capsys, no_solve, config):
-    # refused before the --gamma override is applied or anything is solved
+@pytest.mark.parametrize("config, message", [
+    ("directory", "is a directory"), ([1, 2], "JSON object"), ({"backward": 5}, "'noise' object")],
+    ids=["directory", "top_level_list", "backward_int"])
+def test_malformed_config_is_usage_error(tmp_path, capsys, no_solve, config, message):
     if config == "directory":
         path = tmp_path
     else:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
-    assert main(["backward", "--config", str(path), "--quiet", "--gamma", "1e-3"]) == 1
+    assert main(["backward", "--config", str(path), "--quiet"]) == 1
     assert capsys.readouterr().err.startswith("usage error:")
     assert not (tmp_path / "out").exists()
-    if isinstance(config, list):
-        with pytest.raises(ValueError, match="JSON object"):
-            bench.ExperimentSpec.from_dict(config)
+    # the library's reader refuses the same files with ValueError
+    with pytest.raises(ValueError, match=message):
+        bench.ExperimentSpec.from_json(path)
 
 
 def test_forward_writes_outputs(tmp_path, capsys):
@@ -113,15 +115,6 @@ def test_backward_roundtrip(tmp_path, capsys):
     assert row["converged"] and not row["diverged"]
     summary = capsys.readouterr().out
     assert "reconstruction: e_u=" in summary
-
-
-def test_flag_overrides(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    assert main(["backward", "--config", str(cfg), "--quiet",
-                 "--gamma", "5e-3", "--seed", "7"]) == 0
-    row = json.loads((tmp_path / "out" / "row.json").read_text())
-    assert row["gamma"] == 5e-3
-    assert row["seed"] == 7
 
 
 def test_table_end_to_end(tmp_path, capsys):
@@ -171,10 +164,13 @@ def test_zero_iteration_cap_is_usage_error(tmp_path, capsys, cap, no_solve):
     {"backward": {"gamma": 1e-3, "fp_max": "3"}},
     {"noise": {"delta": 1e-3, "seed": "7"}}, {"noise": {"delta": 1e-3, "seed": 7.0}},
     {"output_dir": 5}, {"nonlinearity": 3}, {"initial_data": 3},
-    {"backward": {"gamma": 1e-3, "fp_max": 3.0}}, {"n": 8.0}, {"repetitions": True}],
+    {"backward": {"gamma": 1e-3, "fp_max": 3.0}}, {"n": 8.0}, {"repetitions": True},
+    {"backward": {"gamma": 1e-3, "fp_tol": math.nan}}, {"backward": {"gamma": math.nan}},
+    {"T": math.nan}, {"noise": {"delta": math.inf, "seed": 42}}, {"n": 0}],
     ids=["fp_max", "alpha", "T", "nonlinearity", "initial_data", "fp_max_type",
          "seed_str", "seed_float", "output_dir_type", "nonlinearity_type",
-         "initial_data_type", "fp_max_float", "n_float", "repetitions_bool"])
+         "initial_data_type", "fp_max_float", "n_float", "repetitions_bool",
+         "fp_tol_nan", "gamma_nan", "T_nan", "delta_inf", "n_zero"])
 def test_invalid_spec_fails_before_any_solve(tmp_path, capsys, no_solve, command, override):
     cfg = write_config(tmp_path, **override)
     argv = [command, "--config", str(cfg), "--quiet"]
@@ -232,14 +228,31 @@ def test_table_divergence_exit_code(tmp_path, capsys):
     assert len(list(out.glob("history_*.csv"))) == 2
 
 
-def test_help_lists_flags(capsys):
-    with pytest.raises(SystemExit):
-        main(["backward", "--help"])
-    out = capsys.readouterr().out
-    for flag in ("--config", "--out", "--seed", "--alpha", "--delta", "--gamma",
-                 "--preset", "--mesh-n", "--steps", "--paper-scale", "--mode",
-                 "--quiet"):
-        assert flag in out
+_SPEC_FLAGS = {"--help", "--config", "--paper-scale", "--quiet"}
+
+# one flag per spec field; none is accepted, the config file sets every field
+_REMOVED_FLAGS = ("--alpha", "--T", "--delta", "--mode", "--seed", "--gamma", "--preset",
+                  "--mesh-n", "--steps", "--n-ref", "--steps-ref", "--dim", "--nonlinearity",
+                  "--initial-data", "--repetitions", "--fast-path", "--out")
+
+
+def test_help_lists_flags(tmp_path, capsys, no_solve):
+    cfg = write_config(tmp_path)
+    for command in ("forward", "backward", "table"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        sweep = {"--deltas", "--alphas"} if command == "table" else set()
+        assert flags == _SPEC_FLAGS | sweep
+        # every value of a run comes from the config file; a removed flag, or
+        # an abbreviation ("--alpha" of table's "--alphas"), is a usage error
+        extra = ["--deltas", "0.002,0.001"] if command == "table" else []
+        for flag in _REMOVED_FLAGS:
+            assert main([command, "--config", str(cfg), "--quiet", *extra, flag, "1e-3"]) == 1
+            assert capsys.readouterr().err.startswith("usage error:")
+    assert main(["table", "--config", str(cfg), "--quiet"]) == 1
+    assert "required: --deltas" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_backward_row_reports_series_propagator(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -48,6 +49,9 @@ def test_nonlinearity_registry():
 def test_time_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(T=0.0, N=10, alpha=0.5)
+    for T in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            TimeGrid(T=T, N=10, alpha=0.5)
     with pytest.raises(ValueError):
         TimeGrid(T=1.0, N=0, alpha=0.5)
     with pytest.raises(ValueError):
