@@ -329,12 +329,13 @@ def make_observation(spec: ExperimentSpec, *, seed: Optional[int] = None,
 # reconstruction runs
 
 def _run_single(res: ResolvedSpec, *, seed: Optional[int] = None,
-                clean: Optional[GridFunction] = None):
+                clean: Optional[GridFunction] = None,
+                truth: Optional[GridFunction] = None):
     """One reconstruction of ``res``: returns (summary row, result).
 
-    ``clean`` is a noise-free observation of ``res`` from
-    :func:`_clean_observation`, shared by repetitions; without it the
-    fine reference solve runs here.  ``seed`` overrides the noise seed.
+    ``clean`` (from :func:`_clean_observation`) and ``truth``, the projected
+    initial data, are shared by repetitions; without them the fine reference
+    solve and the projection run here.  ``seed`` overrides the noise seed.
     """
     spec = res.spec
     t0 = time.perf_counter()
@@ -342,7 +343,8 @@ def _run_single(res: ResolvedSpec, *, seed: Optional[int] = None,
         clean = _clean_observation(res)
     _, g_noisy, achieved = make_observation(spec, seed=seed, clean=clean)
     coarse = g_noisy.system
-    truth = l2_project(coarse, res.data.func, subdivide=res.data.subdivide)
+    if truth is None:
+        truth = l2_project(coarse, res.data.func, subdivide=res.data.subdivide)
     result = fixed_point_reconstruct(coarse, res.grid, g_noisy, res.f, res.config,
                                      truth=truth)
     e_u = l2_error(coarse, result.u0_hat, truth, relative=True)
@@ -482,8 +484,8 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None) -> dict:
 
 
 def _table_cell(job, systems):
-    """One (alpha, delta) cell: one reference solve, then every repetition on
-    its clean observation; the first seed keeps artifacts.
+    """One (alpha, delta) cell: one reference solve and one projection of the
+    truth, then every repetition on them; the first seed keeps artifacts.
 
     ``systems`` maps (dim, n) to the coarse systems of the sweep.
     """
@@ -493,7 +495,8 @@ def _table_cell(job, systems):
     if key not in systems:
         systems[key] = _assemble(*key)
     g_clean = _clean_observation(res, systems[key])
-    runs = [_run_single(res, seed=seed, clean=g_clean) for seed in seeds]
+    truth = l2_project(systems[key], res.data.func, subdivide=res.data.subdivide)
+    runs = [_run_single(res, seed=seed, clean=g_clean, truth=truth) for seed in seeds]
     first = runs[0][1]
     return [row for row, _ in runs], first.u0_hat, first.history
 

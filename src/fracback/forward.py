@@ -6,7 +6,7 @@ scheme), so each step is a single SPD solve with the fixed matrix
 tau^-alpha M + K, factored once per time grid by :class:`BandCholesky`.
 Both the time steps and the series below go through one kernel, the step
 resolvent z -> (tau^-alpha M + K)^-1 M z: one mass product with rows
-already in the factor's order, one band solve and one gather.
+already in the factor's order and one band solve, read back as a view.
 The homogeneous terminal map v -> U^N is the discrete solution operator,
 applied matrix-free either by one N-step solve (:func:`apply_F`) or by a
 short Chebyshev series in the step resolvent (:func:`apply_F_series`).
@@ -94,12 +94,13 @@ class TimeGrid:
 class BandCholesky:
     """Cholesky factor of a sparse SPD matrix, kept in LAPACK band storage.
 
-    The unknowns are renumbered by reverse Cuthill-McKee, which narrows
-    the band of a mesh matrix to about one mesh layer (``kd`` = 1 in 1D,
-    n-1 on the n x n square).  The upper band, kd+1 rows, is factored by
-    ``dpbtrf``; a solve is two banded triangular sweeps (``dpbtrs``).
-    Storage and solve cost are O(d kd).  A matrix that is not positive
-    definite raises :class:`NumericalFailure`.
+    The band is the numbering's own; no renumbering is searched for.  The
+    meshes of :mod:`fracback.grid` are numbered lexicographically, so ``kd``
+    is one mesh layer (1 in 1D, n on the n x n square).  The unknowns are
+    eliminated last first: the upper band of the reversed matrix, kd+1 rows,
+    is factored by ``dpbtrf``, and a solve is two banded triangular sweeps
+    (``dpbtrs``).  Storage and solve cost are O(d kd).  A matrix that is
+    not positive definite raises :class:`NumericalFailure`.
     """
 
     def __init__(self, mat):
@@ -107,32 +108,28 @@ class BandCholesky:
         # factor, such as the Mittag-Leffler oracle, should not pay for it
         import scipy.sparse as sp
         from scipy.linalg.lapack import dpbtrf, dpbtrs
-        from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-        mat = sp.csr_matrix(mat)
-        perm = reverse_cuthill_mckee(mat, symmetric_mode=True)
-        upper = sp.triu(mat[perm][:, perm], format="coo")
-        self.kd = int((upper.col - upper.row).max(initial=0))
-        band = np.zeros((self.kd + 1, mat.shape[0]), order="F")
-        band[self.kd + upper.row - upper.col, upper.col] = upper.data
+        lower = sp.tril(mat, format="coo")
+        d = mat.shape[0]
+        self.kd = int((lower.row - lower.col).max(initial=0))
+        # entry (r, c), r >= c, sits at (d-1-r, d-1-c) of the reversed matrix
+        band = np.zeros((self.kd + 1, d), order="F")
+        band[self.kd + lower.col - lower.row, d - 1 - lower.col] = lower.data
         self.factor, info = dpbtrf(band, overwrite_ab=1)
         if info != 0:
             raise NumericalFailure(f"band Cholesky failed (dpbtrf info={info}): "
                                    "matrix is not positive definite")
-        self.perm = perm
-        self.iperm = np.argsort(perm)
         self._dpbtrs = dpbtrs
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.solve_permuted(b[self.perm])
+        """Solve for ``b``, which is left unchanged."""
+        return self.solve_reversed(b[::-1].copy())
 
-    def solve_permuted(self, pb: np.ndarray) -> np.ndarray:
-        """Solve for a right-hand side given in factor order, ``b[perm]``.
-
-        ``pb`` may be overwritten; the solution comes back in the original order.
-        """
-        x, _ = self._dpbtrs(self.factor, pb, overwrite_b=1)
-        return x[self.iperm]
+    def solve_reversed(self, rb: np.ndarray) -> np.ndarray:
+        """Solve for ``rb`` = b[::-1], the right-hand side in factor order,
+        which may be overwritten; the solution comes back in mesh order."""
+        x, _ = self._dpbtrs(self.factor, rb, overwrite_b=1)
+        return x[::-1]
 
 
 # Step factors are built through this module attribute, under the name of
@@ -149,8 +146,8 @@ class _StepWorkspace:
     series terms of :func:`apply_F_series`.
 
     Holds the band Cholesky factor of tau^-a M + K, the mass matrix with its
-    rows in the factor's RCM order, so that :meth:`resolvent` needs no
-    permutation on the way in, and ``boundary`` = (tau^-a M + K)^-1 b_d.
+    rows reversed into the factor's order (so :meth:`resolvent` is one sparse
+    product and one band solve) and ``boundary`` = (tau^-a M + K)^-1 b_d.
     b_d sums the interior rows of the full mass matrix over the boundary
     nodes; it carries the load of a source that is 1 on the boundary trace.
     """
@@ -159,15 +156,15 @@ class _StepWorkspace:
         tau_a = grid.tau ** (-grid.alpha)
         self.tau_a = tau_a
         self.solver = splu(tau_a * sys.M + sys.K)
-        self.mass = sys.M[self.solver.perm]
+        self.mass = sys.M[::-1]
         self.boundary = self.solver.solve(
             sys.m_coupling @ sys.mesh.boundary_mask.astype(np.float64))
         self.w = cq_weights(grid.alpha, grid.N)
         self.s = np.cumsum(self.w)
 
     def resolvent(self, z: np.ndarray) -> np.ndarray:
-        """(tau^-a M + K)^-1 M z, as a new array."""
-        return self.solver.solve_permuted(self.mass @ z)
+        """(tau^-a M + K)^-1 M z, as a view of a new array."""
+        return self.solver.solve_reversed(self.mass @ z)
 
 
 def _workspace(sys: FemSystem, grid: TimeGrid) -> _StepWorkspace:
@@ -185,7 +182,7 @@ def solve_forward(sys: FemSystem, grid: TimeGrid, u0: GridFunction,
     on the boundary nodes enters the load.  f acts pointwise, so
     M_c f(U) = M f(U) + f(0) b_d, and the step is one resolvent of
     z = f(U^{n-1}) - tau^-a [...] plus f(0) times the workspace's
-    ``boundary`` response; f is evaluated once per step.
+    ``boundary`` response, which is formed once per solve.
     Returns the C-contiguous (N+1) x d state array whose row n is U^n.
     The history sum comes from :func:`fracback.cq.march`, which accumulates
     it blockwise in that array and hands each step its scratch vector, in
@@ -200,23 +197,20 @@ def solve_forward(sys: FemSystem, grid: TimeGrid, u0: GridFunction,
     hist = np.empty((N + 1, d))
     hist[0] = u0.values
     homogeneous = f.is_zero
-    # U^{n-1} followed by one zero that stands for every boundary node
-    state = np.zeros(d + 1)
-    # the products s_n U^0 and f(0) b_d, one at a time
+    # the response to f(0) on the boundary trace, the same at every step
+    boundary_load = None if homogeneous else f(np.zeros(1))[0] * ws.boundary
+    # the product s_n U^0
     prod = np.empty(d)
 
     def step(n, conv):
         # z is formed in conv, march's scratch vector
         conv -= np.multiply(ws.s[n], hist[0], out=prod)
         conv *= -ws.tau_a
-        if homogeneous:
-            u = ws.resolvent(conv)
-        else:
-            state[:d] = hist[n - 1]
-            fu = f(state)
-            conv += fu[:d]
-            u = ws.resolvent(conv)
-            u += np.multiply(fu[d], ws.boundary, out=prod)
+        if not homogeneous:
+            conv += f(hist[n - 1])
+        u = ws.resolvent(conv)
+        if not homogeneous:
+            u += boundary_load
         if not np.all(np.isfinite(u)):
             raise NumericalFailure(f"forward step {n} produced non-finite values")
         return u

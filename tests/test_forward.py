@@ -219,8 +219,23 @@ def test_band_factor_is_invariant_to_renumbering():
     x = BandCholesky(mat).solve(b)
     shuffled = BandCholesky(mat[p][:, p])
     assert np.abs(shuffled.solve(b[p]) - x[p]).max() <= 1e-12 * np.abs(x).max()
-    rows, cols = mat.nonzero()
-    assert shuffled.kd <= np.abs(rows - cols).max()
+
+
+@pytest.mark.parametrize("n", [5, 28, 66])
+def test_band_width_follows_mesh_order(n):
+    # lexicographic numbering: one mesh layer, with no renumbering searched for
+    assert BandCholesky(step_matrix(assemble(build_interval_mesh(n)), 0.5)).kd == 1
+    assert BandCholesky(step_matrix(assemble(build_square_mesh(n)), 0.5)).kd == n
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_band_solve_leaves_its_argument_unchanged(dim):
+    sys = assemble(build_interval_mesh(16) if dim == 1 else build_square_mesh(9))
+    mat = step_matrix(sys, 0.5)
+    b = np.random.default_rng(dim).standard_normal(sys.num_dofs)
+    kept = b.copy()
+    BandCholesky(mat).solve(b)
+    assert np.array_equal(b, kept)
 
 
 def test_band_factor_rejects_indefinite_matrix(sys16):
@@ -245,12 +260,13 @@ def test_blocked_solve_matches_naive_stepper(dim, n, name):
 
 
 def test_non_finite_step_raises_past_first_block(sys16):
-    # the source is evaluated once per step, so step 40 is the first non-finite one
+    # the source is evaluated once at 0 for the boundary load, then once per
+    # step, so step 40 is the first non-finite one
     calls = []
 
     def blow_up(u):
         calls.append(1)
-        return np.full_like(u, np.inf) if len(calls) >= 40 else np.sqrt(1.0 + u * u)
+        return np.full_like(u, np.inf) if len(calls) >= 41 else np.sqrt(1.0 + u * u)
 
     u0 = gf(sys16, np.sin(np.pi * sys16.interior_coords()[:, 0]))
     with pytest.raises(NumericalFailure, match=r"forward step 40 produced non-finite"):

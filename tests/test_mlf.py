@@ -195,6 +195,19 @@ def test_assembly_and_forward_solve_load_scipy():
         "assert 'scipy.linalg' in sys.modules\n")
 
 
+def test_forward_solve_does_not_load_csgraph():
+    # the band factor keeps the mesh's own numbering: no graph search
+    _run_fresh(
+        "import sys\n"
+        "import numpy as np\n"
+        "from fracback import GridFunction, TimeGrid, assemble, build_interval_mesh\n"
+        "from fracback import get_nonlinearity, solve_forward\n"
+        "sys_ = assemble(build_interval_mesh(8))\n"
+        "u0 = GridFunction(sys_, np.ones(sys_.num_dofs))\n"
+        "solve_forward(sys_, TimeGrid(1.0, 4, 0.5), u0, get_nonlinearity('sqrt1pu2'))\n"
+        "assert 'scipy.sparse.csgraph' not in sys.modules\n")
+
+
 # ---------------------------------------------------------------------------
 # spectral oracle
 
