@@ -19,7 +19,6 @@ import json
 import logging
 import os
 import time
-import warnings
 from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
@@ -40,7 +39,6 @@ log = logging.getLogger(__name__)
 
 _NOISE_MODES = ("paper_pointwise", "paper_scalar", "exact_l2")
 _DESK_REFERENCE = {1: (512, 1000), 2: (128, 500)}
-_PAPER_REFERENCE = {1: (1024, 1000), 2: (256, 1000)}
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +174,6 @@ class ExperimentSpec:
             return _resolve(self)
         except TypeError as exc:
             raise ValueError(f"invalid experiment spec: {exc}") from exc
-
-    def at_paper_scale(self) -> "ExperimentSpec":
-        """This spec with unset ``n_ref``/``N_ref`` from the paper's full-scale
-        reference grids (1D: 1024 / 1000, 2D: 256 / 1000); warns."""
-        warnings.warn("paper-scale reference grids selected; expect a long run",
-                      RuntimeWarning, stacklevel=2)
-        n_ref, N_ref = _PAPER_REFERENCE[self.dim]
-        return replace(self, n_ref=n_ref if self.n_ref is None else self.n_ref,
-                       N_ref=N_ref if self.N_ref is None else self.N_ref)
 
 
 # JSON types a field annotation accepts, where they differ from the annotation

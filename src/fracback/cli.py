@@ -5,8 +5,8 @@ reconstruction with its iteration log), ``mlf`` (Mittag-Leffler values),
 ``table`` (noise-level sweep), ``params`` (parameter choice).
 ``forward``, ``backward`` and ``table`` take every value of a run from
 the JSON file named by ``--config`` (read by
-:meth:`fracback.bench.ExperimentSpec.from_json`); besides it they have
-``--paper-scale`` and ``--quiet``, and ``table`` the sweep's
+:meth:`fracback.bench.ExperimentSpec.from_json`), the reference grids
+included; besides it they have ``--quiet``, and ``table`` the sweep's
 ``--deltas`` and ``--alphas``.
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 the
 backward iteration diverged (sweeps continue past divergent cells).
@@ -46,14 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_spec_options(sub):
     sub.add_argument("--config", required=True, help="experiment spec JSON file")
-    sub.add_argument("--paper-scale", action="store_true",
-                     help="paper-scale reference grids (slow)")
     sub.add_argument("--quiet", action="store_true")
-
-
-def _load_spec(args) -> ExperimentSpec:
-    spec = ExperimentSpec.from_json(args.config)
-    return spec.at_paper_scale() if args.paper_scale else spec
 
 
 def build_parser() -> _Parser:
@@ -107,7 +100,7 @@ def _cmd_forward(args) -> int:
     from fracback.fem import GridFunction, l2_project
     from fracback.forward import solve_forward
 
-    res = _load_spec(args).resolved()
+    res = ExperimentSpec.from_json(args.config).resolved()
     grid = res.grid
     sys_c = _assemble(res.dim, res.n)
     u0 = l2_project(sys_c, res.data.func, subdivide=res.data.subdivide)
@@ -129,7 +122,7 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_backward(args) -> int:
-    spec = _load_spec(args)
+    spec = ExperimentSpec.from_json(args.config)
     row, result = _run_single(spec.resolved())
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -150,7 +143,7 @@ def _cmd_backward(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    spec = _load_spec(args)
+    spec = ExperimentSpec.from_json(args.config)
     deltas = [float(v) for v in args.deltas.split(",")]
     alphas = [float(v) for v in args.alphas.split(",")] if args.alphas else None
     table = run_table(spec, deltas, alphas)

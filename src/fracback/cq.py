@@ -1,21 +1,21 @@
 """Backward-Euler convolution quadrature for the Caputo derivative.
 
 Weights are the binomial expansion of (1 - xi)^alpha, generated by the
-stable two-term recurrence.  The time stepper (and the symbol below, for
-N <= 2) marches through :func:`march`, which keeps the full history (no
-compression) but sums it blockwise: when a block of ``BLOCK`` steps
-begins, one GEMM pulls the far field of all earlier states into the
-block's own rows, so a step itself reads only the states of its block,
-by one GEMV.  Both products read the weights from one BLOCK x (N + BLOCK)
-Toeplitz slice through views with positive strides, so NumPy hands both
-to BLAS.  A step allocates nothing in the kernel: its sum goes into one
-scratch vector reused by every step.  Beyond the N x d history the kernel
-needs BLOCK * (N + BLOCK) + d doubles.
+stable two-term recurrence.  The time stepper marches through :func:`march`,
+which keeps the full history (no compression) but sums it blockwise: when
+a block of ``BLOCK`` steps begins, one GEMM pulls the far field of all
+earlier states into the block's own rows, so a step itself reads only the
+states of its block, by one GEMV.  Both products read the weights from one
+BLOCK x (N + BLOCK) Toeplitz slice through views with positive strides, so
+NumPy hands both to BLAS.  A step allocates nothing in the kernel: its sum
+goes into one scratch vector reused by every step.  Beyond the N x d
+history the kernel needs BLOCK * (N + BLOCK) + d doubles.
 
 The spectral symbol r_N(lambda) of the scheme, which the dense path, the
 Chebyshev series and the oracle use, does not march: for N >= 3 it is one
 contour quadrature, on the parabola :mod:`fracback.mlf` uses for
-E_{alpha,1}, independent of :func:`march`.  The module needs NumPy only.
+E_{alpha,1}, and for N <= 2 a closed form of the scheme's first two steps.
+The module needs NumPy only.
 """
 
 from __future__ import annotations
@@ -110,7 +110,9 @@ def scalar_terminal_factor(alpha: float, T: float, N: int, lam) -> np.ndarray:
     image at 2 pi N: for N > mu n h / pi ~ 2.34.  The tests hold it to
     2e-13 absolute against the recurrence and 5e-15 against a 40-digit
     one.  Its cost is a few real operations on one 28 x len(lam) array,
-    whatever N is.  For N <= 2 the recurrence runs, at most two steps.
+    whatever N is.  For N <= 2 the scheme's steps give r_N in closed form:
+    with t = tau^-a, r_1 = t / (t + lam) and
+    r_2 = t (1 - a (1 - r_1)) / (t + lam), since w[1] = -a.
 
     Used as the dense-spectral oracle and fast path, and sampled by
     :func:`chebyshev_terminal_series`.  ``lam`` must be finite and >= 0:
@@ -121,14 +123,14 @@ def scalar_terminal_factor(alpha: float, T: float, N: int, lam) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     if not np.all(np.isfinite(lam) & (lam >= 0.0)):
         raise ValueError("the symbol needs finite lam >= 0")
+    if N < 1:
+        raise ValueError(f"need at least one step, got N={N}")
     tau = T / N
+    if N <= 2:
+        t = tau ** (-alpha)
+        r = t / (t + lam)
+        return r if N == 1 else t * (1.0 - alpha * (1.0 - r)) / (t + lam)
     n, mu, h = branch_cut_rule()
-    if N <= mu * n * h / math.pi:
-        w = cq_weights(alpha, N)
-        partial = np.cumsum(w)
-        ta = tau ** (-alpha)
-        U = np.ones((N + 1, lam.size))
-        return march(w, U, lambda k, conv: ta * (partial[k] - conv) / (ta + lam))[N]
     s, ds = parabola(n, mu, h)
     D = -np.expm1(-s / N)
     Da = D ** alpha

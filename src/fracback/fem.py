@@ -116,9 +116,10 @@ def assemble_full(mesh):
 class FemSystem:
     """Assembled P1 system: interior mass M and stiffness K of a mesh.
 
-    ``m_coupling`` keeps the interior rows of the full mass matrix so
-    that loads of functions with nonzero boundary trace (e.g. f(0) != 0
-    in the nonlinear term) pick up the boundary-adjacent contributions.
+    ``b_d`` = M_c 1_d sums the interior rows M_c of the full mass matrix
+    over the boundary nodes: the load of a source that is 1 on the boundary
+    trace and 0 inside, through which f(0) != 0 in the nonlinear term
+    picks up the boundary-adjacent contributions.
 
     The system also owns the data derived from it, built on first use and
     freed with it: :meth:`derived` keeps each value under a key its caller
@@ -128,11 +129,11 @@ class FemSystem:
     system releases its factors; a pickled copy leaves them out.
     """
 
-    def __init__(self, mesh, M, K, m_coupling, interior_ids):
+    def __init__(self, mesh, M, K, b_d, interior_ids):
         self.mesh = mesh
         self.M = M
         self.K = K
-        self.m_coupling = m_coupling
+        self.b_d = b_d
         self.interior_ids = interior_ids
         self._derived = {}
 
@@ -187,11 +188,12 @@ def assemble(mesh) -> FemSystem:
     interior_ids = np.flatnonzero(~mesh.boundary_mask)
     M = M_full[interior_ids][:, interior_ids].tocsr()
     K = K_full[interior_ids][:, interior_ids].tocsr()
-    m_coupling = M_full[interior_ids].tocsr()
+    coupling = M_full[interior_ids].tocsr()
     M.sort_indices()
     K.sort_indices()
-    m_coupling.sort_indices()
-    return FemSystem(mesh, M, K, m_coupling, interior_ids)
+    coupling.sort_indices()
+    b_d = coupling @ mesh.boundary_mask.astype(np.float64)
+    return FemSystem(mesh, M, K, b_d, interior_ids)
 
 
 @dataclass
@@ -280,15 +282,14 @@ def l2_project(sys: FemSystem, f, *, subdivide=False) -> GridFunction:
 
 
 def load_nonlinear(sys: FemSystem, u: GridFunction, f) -> np.ndarray:
-    """Product-approximation load M * f(u): nodal interpolation of f(u_h).
+    """Product-approximation load M_c f(u): nodal interpolation of f(u_h).
 
-    f is evaluated on all nodes (boundary values are zero, so f(0)
-    enters through the coupling rows) and multiplied by the mass matrix.
+    u_h is zero on the boundary, so with f pointwise the load is
+    M f(u) + f(0) b_d (see :class:`FemSystem`).
     """
     if u.system is not sys:
         raise ValueError("grid function defined on a different system")
-    fu = f(u.full_values())
-    return sys.m_coupling @ fu
+    return sys.M @ f(u.values) + f(np.zeros(1))[0] * sys.b_d
 
 
 # ---------------------------------------------------------------------------

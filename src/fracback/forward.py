@@ -147,9 +147,9 @@ class _StepWorkspace:
 
     Holds the band Cholesky factor of tau^-a M + K, the mass matrix with its
     rows reversed into the factor's order (so :meth:`resolvent` is one sparse
-    product and one band solve) and ``boundary`` = (tau^-a M + K)^-1 b_d.
-    b_d sums the interior rows of the full mass matrix over the boundary
-    nodes; it carries the load of a source that is 1 on the boundary trace.
+    product and one band solve) and ``boundary`` = (tau^-a M + K)^-1 b_d,
+    the response to the load of a source that is 1 on the boundary trace
+    (:class:`~fracback.fem.FemSystem`).
     """
 
     def __init__(self, sys: FemSystem, grid: TimeGrid):
@@ -157,8 +157,7 @@ class _StepWorkspace:
         self.tau_a = tau_a
         self.solver = splu(tau_a * sys.M + sys.K)
         self.mass = sys.M[::-1]
-        self.boundary = self.solver.solve(
-            sys.m_coupling @ sys.mesh.boundary_mask.astype(np.float64))
+        self.boundary = self.solver.solve(sys.b_d)
         self.w = cq_weights(grid.alpha, grid.N)
         self.s = np.cumsum(self.w)
 

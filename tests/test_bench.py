@@ -420,12 +420,6 @@ def test_parallel_sweep_keeps_row_order(tmp_path, monkeypatch):
     assert len({r["n"] for r in strip}) == 2
 
 
-def test_paper_scale_warns():
-    spec = small_spec(n_ref=None, N_ref=None)
-    with pytest.warns(RuntimeWarning):
-        spec.at_paper_scale()
-
-
 def test_spec_validates_fields():
     with pytest.raises(ValueError):
         small_spec(dim=3)

@@ -5,7 +5,8 @@ import re
 import pytest
 
 from fracback import bench
-from fracback.cli import build_parser, main, _load_spec
+from fracback.bench import ExperimentSpec
+from fracback.cli import main
 
 
 def write_config(tmp_path, **overrides):
@@ -190,25 +191,19 @@ def test_table_bad_alpha_fails_before_any_solve(tmp_path, capsys, no_solve):
     assert not (tmp_path / "out").exists()
 
 
-def test_paper_scale_fills_unset_reference_grids(tmp_path, no_solve):
-    def load(*flags, **overrides):
-        cfg = write_config(tmp_path, **overrides)
-        return _load_spec(build_parser().parse_args(["backward", "--config", str(cfg),
-                                                     *flags]))
+def test_config_sets_reference_grids(tmp_path, no_solve):
+    # the reference grids come from the file like every other value: unset
+    # ones take the desk defaults, the paper's full-scale grids are written out
+    def load(**overrides):
+        return ExperimentSpec.from_json(write_config(tmp_path, **overrides))
 
-    for dim, (n_ref, N_ref) in ((1, (1024, 1000)), (2, (256, 1000))):
-        with pytest.warns(RuntimeWarning, match="paper-scale"):
-            res = load("--paper-scale", dim=dim, n_ref=None, N_ref=None).resolved()
+    for dim, (n_ref, N_ref) in ((1, (512, 1000)), (2, (128, 500))):
+        spec = load(dim=dim, n_ref=None, N_ref=None)
+        assert (spec.n_ref, spec.N_ref) == (None, None)
+        res = spec.resolved()
         assert (res.n_ref, res.grid_ref.N) == (n_ref, N_ref)
-        with pytest.warns(RuntimeWarning, match="paper-scale"):
-            spec = load("--paper-scale", dim=dim, n_ref=None, N_ref=300)
-        assert (spec.n_ref, spec.N_ref) == (n_ref, 300)
-    # explicit grids are kept, and without the flag nothing is filled
-    with pytest.warns(RuntimeWarning, match="paper-scale"):
-        spec = load("--paper-scale")
-    assert (spec.n_ref, spec.N_ref) == (64, 50)
-    spec = load(n_ref=None, N_ref=None)
-    assert (spec.n_ref, spec.N_ref) == (None, None)
+    res = load(dim=2, n_ref=256, N_ref=1000).resolved()
+    assert (res.n_ref, res.grid_ref.N) == (256, 1000)
 
 
 def test_divergence_exit_code(tmp_path, capsys):
@@ -228,12 +223,13 @@ def test_table_divergence_exit_code(tmp_path, capsys):
     assert len(list(out.glob("history_*.csv"))) == 2
 
 
-_SPEC_FLAGS = {"--help", "--config", "--paper-scale", "--quiet"}
+_SPEC_FLAGS = {"--help", "--config", "--quiet"}
 
-# one flag per spec field; none is accepted, the config file sets every field
+# one flag per spec field, and the reference grids' switch; none is
+# accepted, the config file sets every field
 _REMOVED_FLAGS = ("--alpha", "--T", "--delta", "--mode", "--seed", "--gamma", "--preset",
                   "--mesh-n", "--steps", "--n-ref", "--steps-ref", "--dim", "--nonlinearity",
-                  "--initial-data", "--repetitions", "--fast-path", "--out")
+                  "--initial-data", "--repetitions", "--fast-path", "--out", "--paper-scale")
 
 
 def test_help_lists_flags(tmp_path, capsys, no_solve):
@@ -248,8 +244,9 @@ def test_help_lists_flags(tmp_path, capsys, no_solve):
         # an abbreviation ("--alpha" of table's "--alphas"), is a usage error
         extra = ["--deltas", "0.002,0.001"] if command == "table" else []
         for flag in _REMOVED_FLAGS:
-            assert main([command, "--config", str(cfg), "--quiet", *extra, flag, "1e-3"]) == 1
-            assert capsys.readouterr().err.startswith("usage error:")
+            for args in ([flag, "1e-3"], [flag]):
+                assert main([command, "--config", str(cfg), "--quiet", *extra, *args]) == 1
+                assert capsys.readouterr().err.startswith("usage error:")
     assert main(["table", "--config", str(cfg), "--quiet"]) == 1
     assert "required: --deltas" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

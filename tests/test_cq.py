@@ -145,6 +145,12 @@ def test_symbol_rejects_negative_or_nonfinite_lam(N, bad):
         scalar_terminal_factor(0.5, 1.0, N, np.array([1.0, bad]))
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_symbol_needs_a_step(N):
+    with pytest.raises(ValueError, match="at least one step"):
+        scalar_terminal_factor(0.5, 1.0, N, np.array([1.0]))
+
+
 @given(N=st.integers(1, 3 * BLOCK + 1), d=st.integers(1, 40),
        alpha=st.floats(0.05, 0.95), lagged=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @example(N=1, d=3, alpha=0.5, lagged=True, seed=0)

@@ -152,8 +152,8 @@ def test_project_checkerboard_integral():
     for n in (16, 32):
         sys = assemble(build_square_mesh(n))
         g = l2_project(sys, data.func, subdivide=True)
-        ones_full = np.ones(sys.mesh.num_nodes)
-        integral = float(g.values @ (sys.m_coupling @ ones_full))
+        # the load of the constant 1: M 1 inside plus the boundary trace's b_d
+        integral = float(g.values @ (sys.M @ np.ones(sys.num_dofs) + sys.b_d))
         gap = abs(integral - 0.5)
         assert gap < sys.mesh.h
         gaps.append(gap)
@@ -179,6 +179,23 @@ def test_load_nonlinear_linear_f(sys2d):
     u = GridFunction(sys2d, rng.standard_normal(sys2d.num_dofs))
     out = load_nonlinear(sys2d, u, get_nonlinearity("identity"))
     assert np.allclose(out, sys2d.M @ u.values, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["zero", "identity", "sqrt1pu2", "one_minus_u3",
+                                  "allen_cahn", "L_sqrt1pu2:0.5"])
+@pytest.mark.parametrize("mesh", [build_interval_mesh(9), build_square_mesh(7)],
+                         ids=["1d", "2d"])
+def test_load_nonlinear_matches_full_node_product(mesh, name):
+    # M f(u) + f(0) b_d is the interior rows of the full mass matrix applied
+    # to f of the nodal values, zero on the boundary
+    sys = assemble(mesh)
+    f = get_nonlinearity(name)
+    u = GridFunction(sys, np.random.default_rng(5).standard_normal(sys.num_dofs))
+    M_full, _ = assemble_full(mesh)
+    u_full = np.zeros(mesh.num_nodes)
+    u_full[sys.interior_ids] = u.values
+    expected = M_full[sys.interior_ids] @ f(u_full)
+    np.testing.assert_allclose(load_nonlinear(sys, u, f), expected, rtol=1e-13, atol=1e-15)
 
 
 def test_l2_norm_sine():
