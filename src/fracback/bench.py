@@ -3,14 +3,8 @@ table sweeps, and iteration-history logs with structured CSV/JSON output.
 
 Observations follow the benchmark recipe: the direct problem is solved
 on a fine nested reference grid, the terminal state is restricted to the
-coarse reconstruction mesh by nodal sampling, and noise scaled by
-delta * sup u(T) is added there.  Three noise modes are provided:
-
-* ``paper_pointwise`` - an iid standard-normal draw per node (default);
-* ``paper_scalar``    - a single standard-normal draw scaling a constant
-                        field (the literal reading of the recipe);
-* ``exact_l2``        - pointwise noise rescaled so the L2 perturbation
-                        equals delta exactly.
+coarse reconstruction mesh by nodal sampling, and noise is added there:
+an iid standard-normal draw per coarse node, scaled by delta * sup u(T).
 """
 
 from __future__ import annotations
@@ -37,7 +31,6 @@ from fracback.grid import build_interval_mesh, build_square_mesh, restrict_nodal
 
 log = logging.getLogger(__name__)
 
-_NOISE_MODES = ("paper_pointwise", "paper_scalar", "exact_l2")
 _DESK_REFERENCE = {1: (512, 1000), 2: (128, 500)}
 
 
@@ -100,14 +93,11 @@ def get_initial_data(name: str, dim: int) -> InitialData:
 @dataclass
 class NoiseSpec:
     delta: float
-    mode: str = "paper_pointwise"
     seed: int = 0
 
     def __post_init__(self):
         if not (np.isfinite(self.delta) and self.delta >= 0.0):
             raise ValueError(f"noise level must be finite and >= 0, got {self.delta}")
-        if self.mode not in _NOISE_MODES:
-            raise ValueError(f"noise mode must be one of {_NOISE_MODES}, got {self.mode!r}")
 
 
 @dataclass
@@ -287,8 +277,10 @@ def make_observation(spec: ExperimentSpec, *, seed: Optional[int] = None,
                      clean: Optional[GridFunction] = None):
     """Build (g_clean, g_noisy, achieved_noise_l2) on the coarse mesh.
 
-    Noise follows ``spec.noise``, drawn from ``seed`` if given.  ``clean``
-    is the noise-free observation of ``spec`` (see
+    g_noisy = g_clean + delta * sup g_clean * xi, with xi one standard
+    normal draw per coarse node from ``seed`` if given, else from
+    ``spec.noise.seed``; delta = 0 gives a noise-free copy.  ``clean`` is
+    the noise-free observation of ``spec`` (see
     :func:`_clean_observation`); without it, the spec is resolved and the
     fine reference solve runs here.
     """
@@ -301,14 +293,7 @@ def make_observation(spec: ExperimentSpec, *, seed: Optional[int] = None,
         return g_clean, g_clean.copy(), 0.0
     rng = np.random.default_rng(spec.noise.seed if seed is None else seed)
     sup_g = max(float(g_clean.full_values().max()), 0.0)
-    if spec.noise.mode == "paper_pointwise":
-        pert = delta * sup_g * rng.standard_normal(coarse.num_dofs)
-    elif spec.noise.mode == "paper_scalar":
-        pert = delta * sup_g * float(rng.standard_normal()) * np.ones(coarse.num_dofs)
-    else:  # exact_l2
-        pert = rng.standard_normal(coarse.num_dofs)
-        norm = float(np.sqrt(pert @ (coarse.M @ pert)))
-        pert *= delta / norm
+    pert = delta * sup_g * rng.standard_normal(coarse.num_dofs)
     achieved = float(np.sqrt(pert @ (coarse.M @ pert)))
     g_noisy = GridFunction(coarse, g_clean.values + pert)
     return g_clean, g_noisy, achieved
@@ -392,6 +377,8 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None) -> dict:
         raise ValueError("need at least two noise levels for a table")
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ValueError("noise levels must be strictly decreasing")
+    if not all(d > 0 for d in deltas):
+        raise ValueError(f"a table's noise levels must be > 0, got {deltas}")
     alphas = list(alphas) if alphas is not None else [spec.alpha]
 
     cells = []
@@ -418,8 +405,7 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None) -> dict:
     for cell_spec, _ in jobs:
         res = cell_spec.resolved()
         meshes.append((res.dim, res.n))
-    out_dir = Path(spec.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_output_dir(spec.output_dir)
 
     t_start = time.perf_counter()
     # cells ordered by coarse mesh and cut into one contiguous chunk per
@@ -502,6 +488,17 @@ def _table_cells(jobs):
 def _version() -> str:
     from fracback import __version__
     return __version__
+
+
+def _make_output_dir(path) -> Path:
+    """Create a run's output directory; one that cannot be made, say a file
+    or a path beneath one, raises ``ValueError`` naming it."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot create output_dir {path!r}: {exc.strerror}") from None
+    return out
 
 
 def _write_history_csv(history, path):

@@ -22,7 +22,8 @@ import sys
 from pathlib import Path
 
 from fracback.backward import select_parameters
-from fracback.bench import ExperimentSpec, run_table, _run_single
+from fracback.bench import (ExperimentSpec, run_table, _make_output_dir, _run_single,
+                            _write_history_csv)
 from fracback.fem import NumericalFailure, write_field_csv
 from fracback.mlf import mittag_leffler
 
@@ -101,12 +102,11 @@ def _cmd_forward(args) -> int:
     from fracback.forward import solve_forward
 
     res = ExperimentSpec.from_json(args.config).resolved()
+    out = _make_output_dir(res.spec.output_dir)
     grid = res.grid
     sys_c = _assemble(res.dim, res.n)
     u0 = l2_project(sys_c, res.data.func, subdivide=res.data.subdivide)
     hist = solve_forward(sys_c, grid, u0, res.f)
-    out = Path(res.spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     field_path = out / "field_terminal.csv"
     write_field_csv(GridFunction(sys_c, hist[-1]), field_path)
     manifest = dict(alpha=grid.alpha, T=grid.T, N=grid.N, tau=grid.tau,
@@ -122,13 +122,11 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_backward(args) -> int:
-    spec = ExperimentSpec.from_json(args.config)
-    row, result = _run_single(spec.resolved())
-    out = Path(spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    res = ExperimentSpec.from_json(args.config).resolved()
+    out = _make_output_dir(res.spec.output_dir)
+    row, result = _run_single(res)
     field_path = out / "field_u0hat.csv"
     write_field_csv(result.u0_hat, field_path)
-    from fracback.bench import _write_history_csv
     hist_path = out / "history.csv"
     _write_history_csv(result.history, hist_path)
     row_path = out / "row.json"

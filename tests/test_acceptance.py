@@ -164,7 +164,7 @@ def test_criterion_06_regularization_rate():
 def _table1_spec(out_dir):
     return ExperimentSpec(
         alpha=0.1, T=1.0, nonlinearity="sqrt1pu2", initial_data="smooth_sine",
-        noise=NoiseSpec(delta=1.0 / 80, mode="paper_pointwise", seed=42),
+        noise=NoiseSpec(delta=1.0 / 80, seed=42),
         dim=2, n_ref=128, N_ref=500, preset="paper-ex1",
         output_dir=str(out_dir), repetitions=3)
 
@@ -172,7 +172,7 @@ def _table1_spec(out_dir):
 def _table3_spec(out_dir):
     return ExperimentSpec(
         alpha=0.2, T=1.0, nonlinearity="sqrt1pu2", initial_data="checkerboard",
-        noise=NoiseSpec(delta=1.0 / 400, mode="paper_pointwise", seed=2024),
+        noise=NoiseSpec(delta=1.0 / 400, seed=2024),
         dim=2, n_ref=128, N_ref=500, preset="paper-ex2",
         output_dir=str(out_dir), repetitions=3)
 

@@ -30,7 +30,7 @@ from fracback.grid import build_interval_mesh, build_square_mesh, restrict_nodal
 def small_spec(**overrides):
     base = dict(
         alpha=0.5, T=1.0, nonlinearity="sqrt1pu2", initial_data="smooth_sine",
-        noise=NoiseSpec(delta=1e-3, mode="paper_pointwise", seed=42),
+        noise=NoiseSpec(delta=1e-3, seed=42),
         dim=1, n=16, N=20, n_ref=64, N_ref=50,
         backward={"gamma": 1e-3},
         output_dir="out", repetitions=1)
@@ -64,8 +64,6 @@ def test_noise_spec_validation():
     for delta in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and >= 0"):
             NoiseSpec(delta=delta)
-    with pytest.raises(ValueError):
-        NoiseSpec(delta=0.1, mode="weird")
 
 
 def test_spec_rejects_unknown_fields():
@@ -76,6 +74,11 @@ def test_spec_rejects_unknown_fields():
     data = small_spec().to_dict()
     data["noise"]["extra"] = 2
     with pytest.raises(ValueError):
+        ExperimentSpec.from_dict(data)
+    # the one noise recipe has no mode to select
+    data = small_spec().to_dict()
+    data["noise"]["mode"] = "paper_pointwise"
+    with pytest.raises(ValueError, match=r"unknown noise fields: \['mode'\]"):
         ExperimentSpec.from_dict(data)
     data = small_spec().to_dict()
     data["backward"]["hmm"] = 3
@@ -160,25 +163,12 @@ def test_observation_zero_noise():
     assert np.array_equal(g_clean.values, g_noisy.values)
 
 
-def test_observation_exact_l2():
-    spec = small_spec(noise=NoiseSpec(delta=1e-3, mode="exact_l2", seed=3))
-    _, g_noisy, achieved = make_observation(spec)
-    assert achieved == pytest.approx(1e-3, rel=1e-12)
-
-
 def test_observation_deterministic():
     spec = small_spec()
     _, g1, a1 = make_observation(spec)
     _, g2, a2 = make_observation(spec)
     assert np.array_equal(g1.values, g2.values)
     assert a1 == a2
-
-
-def test_observation_scalar_mode():
-    spec = small_spec(noise=NoiseSpec(delta=1e-3, mode="paper_scalar", seed=9))
-    g_clean, g_noisy, _ = make_observation(spec)
-    pert = g_noisy.values - g_clean.values
-    assert np.allclose(pert, pert[0])   # constant field
 
 
 def test_noise_statistics_pointwise():
@@ -312,13 +302,16 @@ def test_run_table_validation(tmp_path):
         run_table(spec, deltas=[1e-3])
     with pytest.raises(ValueError):
         run_table(spec, deltas=[1e-3, 2e-3])
-    # two cells with one file tag would overwrite each other's outputs; the
-    # sweep refuses them before any solve and writes nothing
+    # two cells with one file tag would overwrite each other's outputs, and
+    # a noise-free cell has no convergence order; the sweep refuses both
+    # before any solve and writes nothing
     for deltas, alphas in (([2e-3, 1e-3], [0.3, 0.3]),
                            ([0.1000001, 0.1], [0.5]),
                            ([2e-3, 1e-3], [0.1, 0.1000001])):
         with pytest.raises(ValueError, match="repeated tags"):
             run_table(spec, deltas=deltas, alphas=alphas)
+    with pytest.raises(ValueError, match="must be > 0"):
+        run_table(spec, deltas=[1e-3, 0.0])
     assert not any(tmp_path.iterdir())
 
 

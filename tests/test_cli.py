@@ -12,7 +12,7 @@ from fracback.cli import main
 def write_config(tmp_path, **overrides):
     cfg = dict(
         alpha=0.5, T=1.0, nonlinearity="sqrt1pu2", initial_data="smooth_sine",
-        noise=dict(delta=1e-3, mode="paper_pointwise", seed=42),
+        noise=dict(delta=1e-3, seed=42),
         dim=1, n=16, N=20, n_ref=64, N_ref=50,
         backward=dict(gamma=1e-3),
         output_dir=str(tmp_path / "out"), repetitions=1)
@@ -167,11 +167,12 @@ def test_zero_iteration_cap_is_usage_error(tmp_path, capsys, cap, no_solve):
     {"output_dir": 5}, {"nonlinearity": 3}, {"initial_data": 3},
     {"backward": {"gamma": 1e-3, "fp_max": 3.0}}, {"n": 8.0}, {"repetitions": True},
     {"backward": {"gamma": 1e-3, "fp_tol": math.nan}}, {"backward": {"gamma": math.nan}},
-    {"T": math.nan}, {"noise": {"delta": math.inf, "seed": 42}}, {"n": 0}],
+    {"T": math.nan}, {"noise": {"delta": math.inf, "seed": 42}}, {"n": 0},
+    {"noise": {"delta": 1e-3, "mode": "paper_scalar", "seed": 42}}],
     ids=["fp_max", "alpha", "T", "nonlinearity", "initial_data", "fp_max_type",
          "seed_str", "seed_float", "output_dir_type", "nonlinearity_type",
          "initial_data_type", "fp_max_float", "n_float", "repetitions_bool",
-         "fp_tol_nan", "gamma_nan", "T_nan", "delta_inf", "n_zero"])
+         "fp_tol_nan", "gamma_nan", "T_nan", "delta_inf", "n_zero", "noise_mode"])
 def test_invalid_spec_fails_before_any_solve(tmp_path, capsys, no_solve, command, override):
     cfg = write_config(tmp_path, **override)
     argv = [command, "--config", str(cfg), "--quiet"]
@@ -189,6 +190,30 @@ def test_table_bad_alpha_fails_before_any_solve(tmp_path, capsys, no_solve):
     assert main(["table", "--config", str(cfg), "--quiet",
                  "--deltas", "0.002,0.001", "--alphas", "0.3,1.5"]) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_table_zero_delta_fails_before_any_solve(tmp_path, capsys, no_solve):
+    # a noise-free cell has no convergence order: the sweep is refused up front
+    cfg = write_config(tmp_path)
+    assert main(["table", "--config", str(cfg), "--quiet", "--deltas", "0.002,0"]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "backward", "table"])
+@pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath_file"])
+def test_unusable_output_dir_is_usage_error(tmp_path, capsys, no_solve, command, beneath):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    out = taken / "out" if beneath else taken
+    cfg = write_config(tmp_path, output_dir=str(out))
+    argv = [command, "--config", str(cfg), "--quiet"]
+    if command == "table":
+        argv += ["--deltas", "0.002,0.001"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and str(out) in err
+    assert taken.read_text() == "keep"
 
 
 def test_config_sets_reference_grids(tmp_path, no_solve):
