@@ -14,7 +14,6 @@ from fracback.mlf import (
     SpectralField,
     mittag_leffler,
     spectral_forward_linear,
-    spectral_backward_linear,
     sample_on_mesh,
 )
 from fracback.forward import Nonlinearity, TimeGrid, get_nonlinearity, solve_forward, apply_F, apply_S
@@ -45,7 +44,6 @@ __all__ = [
     "SpectralField",
     "mittag_leffler",
     "spectral_forward_linear",
-    "spectral_backward_linear",
     "sample_on_mesh",
     "Nonlinearity",
     "TimeGrid",

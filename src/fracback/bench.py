@@ -98,6 +98,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not (np.isfinite(self.delta) and self.delta >= 0.0):
             raise ValueError(f"noise level must be finite and >= 0, got {self.delta}")
+        if self.seed < 0:
+            raise ValueError(f"noise seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -116,7 +116,10 @@ def scalar_terminal_factor(alpha: float, T: float, N: int, lam) -> np.ndarray:
 
     Used as the dense-spectral oracle and fast path, and sampled by
     :func:`chebyshev_terminal_series`.  ``lam`` must be finite and >= 0:
-    only then has D^a + kappa no zero off the cuts.
+    only then has D^a + kappa no zero off the cuts.  kappa is capped at
+    2^511 (6.7e153), so neither lam tau^a nor the square of D^a + kappa
+    overflows; long before the cap r_N has reached its rounding floor,
+    about 1e-17, which the cap leaves as it is.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"fractional order must lie in (0, 1), got {alpha}")
@@ -139,7 +142,8 @@ def scalar_terminal_factor(alpha: float, T: float, N: int, lam) -> np.ndarray:
     # 1 + e / b, and Im(c e / b) = Im(c e conj(b)) / |b|^2: real arithmetic
     # on the (n+1) x len(lam) array, no complex division
     ce = c * (Da / D - Da)
-    den = np.add.outer(Da.real, lam * tau ** alpha)     # Re b
+    with np.errstate(over="ignore"):     # lam tau^a beyond the float range
+        den = np.add.outer(Da.real, np.minimum(lam * tau ** alpha, 2.0 ** 511))  # Re b
     terms = ce.imag[:, None] * den
     terms -= (ce.real * Da.imag)[:, None]
     den *= den

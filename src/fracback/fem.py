@@ -188,11 +188,9 @@ def assemble(mesh) -> FemSystem:
     interior_ids = np.flatnonzero(~mesh.boundary_mask)
     M = M_full[interior_ids][:, interior_ids].tocsr()
     K = K_full[interior_ids][:, interior_ids].tocsr()
-    coupling = M_full[interior_ids].tocsr()
     M.sort_indices()
     K.sort_indices()
-    coupling.sort_indices()
-    b_d = coupling @ mesh.boundary_mask.astype(np.float64)
+    b_d = M_full[interior_ids] @ mesh.boundary_mask.astype(np.float64)
     return FemSystem(mesh, M, K, b_d, interior_ids)
 
 

@@ -63,6 +63,8 @@ def get_nonlinearity(name: str) -> Nonlinearity:
             L = float(suffix) if colon else 1.0
         except ValueError:
             raise ValueError(f"nonlinearity {name!r}: the scale L must be a number") from None
+        if not math.isfinite(L):
+            raise ValueError(f"nonlinearity {name!r}: the scale L must be finite")
         return Nonlinearity(f"L_sqrt1pu2:{L:g}", lambda u: L * np.sqrt(1.0 + u * u))
     if name not in _REGISTRY:
         raise ValueError(f"unknown nonlinearity {name!r}; known: "

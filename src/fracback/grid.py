@@ -39,10 +39,6 @@ class Mesh:
     def num_elements(self) -> int:
         return self.elements.shape[0]
 
-    @property
-    def num_interior(self) -> int:
-        return int((~self.boundary_mask).sum())
-
     def element_measures(self) -> np.ndarray:
         """Signed length/area of every element (positive by construction)."""
         if self.dim == 1:

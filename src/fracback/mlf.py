@@ -136,10 +136,6 @@ class SpectralField:
             return (k * np.pi) ** 2
         return (k[:, None] ** 2 + k[None, :] ** 2) * np.pi ** 2
 
-    def norm(self) -> float:
-        """L2 norm (Parseval, the basis is orthonormal)."""
-        return float(np.sqrt(np.sum(self.coeffs ** 2)))
-
 
 def spectral_forward_linear(field: SpectralField, alpha: float, T: float) -> SpectralField:
     """Exact terminal state of the linear problem: c_k -> E_a1(-lam_k T^a) c_k."""
@@ -147,18 +143,6 @@ def spectral_forward_linear(field: SpectralField, alpha: float, T: float) -> Spe
         raise ValueError(f"terminal time must be positive, got {T}")
     factors = ml_e1(alpha, -field.eigenvalues() * T ** alpha)
     return SpectralField(field.domain, field.coeffs * factors)
-
-
-def spectral_backward_linear(g: SpectralField, alpha: float, T: float,
-                             gamma: float) -> SpectralField:
-    """Quasi-boundary-value inverse: c_k -> c_k / (gamma + E_a1(-lam_k T^a))."""
-    if gamma < 0.0:
-        raise ValueError(f"regularization parameter must be >= 0, got {gamma}")
-    factors = ml_e1(alpha, -g.eigenvalues() * T ** alpha)
-    if gamma == 0.0 and np.any(factors <= 0.0):
-        raise ValueError("gamma = 0 with an underflowed solution factor: "
-                         "the unregularized division is ill-posed")
-    return SpectralField(g.domain, g.coeffs / (gamma + factors))
 
 
 def sample_on_mesh(field: SpectralField, target) -> GridFunction:

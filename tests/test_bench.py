@@ -64,6 +64,8 @@ def test_noise_spec_validation():
     for delta in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and >= 0"):
             NoiseSpec(delta=delta)
+    with pytest.raises(ValueError, match="noise seed must be >= 0"):
+        NoiseSpec(delta=0.1, seed=-1)
 
 
 def test_spec_rejects_unknown_fields():

@@ -168,11 +168,14 @@ def test_zero_iteration_cap_is_usage_error(tmp_path, capsys, cap, no_solve):
     {"backward": {"gamma": 1e-3, "fp_max": 3.0}}, {"n": 8.0}, {"repetitions": True},
     {"backward": {"gamma": 1e-3, "fp_tol": math.nan}}, {"backward": {"gamma": math.nan}},
     {"T": math.nan}, {"noise": {"delta": math.inf, "seed": 42}}, {"n": 0},
-    {"noise": {"delta": 1e-3, "mode": "paper_scalar", "seed": 42}}],
+    {"noise": {"delta": 1e-3, "mode": "paper_scalar", "seed": 42}},
+    {"nonlinearity": "L_sqrt1pu2:nan"}, {"nonlinearity": "L_sqrt1pu2:inf"},
+    {"noise": {"delta": 1e-3, "seed": -3}}],
     ids=["fp_max", "alpha", "T", "nonlinearity", "initial_data", "fp_max_type",
          "seed_str", "seed_float", "output_dir_type", "nonlinearity_type",
          "initial_data_type", "fp_max_float", "n_float", "repetitions_bool",
-         "fp_tol_nan", "gamma_nan", "T_nan", "delta_inf", "n_zero", "noise_mode"])
+         "fp_tol_nan", "gamma_nan", "T_nan", "delta_inf", "n_zero", "noise_mode",
+         "L_nan", "L_inf", "seed_negative"])
 def test_invalid_spec_fails_before_any_solve(tmp_path, capsys, no_solve, command, override):
     cfg = write_config(tmp_path, **override)
     argv = [command, "--config", str(cfg), "--quiet"]

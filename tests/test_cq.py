@@ -123,7 +123,7 @@ def mp_recurrence_symbol(alpha, T, N, lam):
 def test_symbol_matches_recurrence(alpha, T):
     # the contour quadrature for N >= 3 and the recurrence it replaces; at
     # N = 1, 2 the parabola would cross the branch cut's periodic image
-    lam = np.concatenate([[0.0, 1e-6], np.logspace(0, 9)])
+    lam = np.concatenate([[0.0, 1e-6], np.logspace(0, 9), [1e160, 1e300, np.finfo(float).max]])
     for N in (1, 2, 3, 7, 40, 333, 1000):
         got = scalar_terminal_factor(alpha, T, N, lam)
         assert np.max(np.abs(got - recurrence_symbol(alpha, T, N, lam))) <= 2e-13, N

@@ -41,7 +41,8 @@ def test_nonlinearity_registry():
     f = get_nonlinearity("L_sqrt1pu2:0.5")
     assert f(np.array([0.0]))[0] == pytest.approx(0.5)
     assert get_nonlinearity("allen_cahn")(np.array([2.0]))[0] == pytest.approx(-6.0)
-    for name in ("nope", "sqrt1pu2:5", "zero:3", "allen_cahn:2", "L_sqrt1pu2:x"):
+    for name in ("nope", "sqrt1pu2:5", "zero:3", "allen_cahn:2", "L_sqrt1pu2:x",
+                 "L_sqrt1pu2:nan", "L_sqrt1pu2:inf", "L_sqrt1pu2:-1e400"):
         with pytest.raises(ValueError):
             get_nonlinearity(name)
 

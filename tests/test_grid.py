@@ -9,12 +9,12 @@ def test_interval_counts():
     assert m.num_nodes == 3
     assert m.num_elements == 2
     assert np.allclose(m.nodes.ravel(), [0.0, 0.5, 1.0])
-    assert m.num_interior == 1
+    assert int((~m.boundary_mask).sum()) == 1
 
     m4 = build_interval_mesh(4)
     assert m4.num_nodes == 5
     assert m4.num_elements == 4
-    assert m4.num_interior == 3
+    assert int((~m4.boundary_mask).sum()) == 3
 
 
 def test_interval_rejects_small_n():
@@ -26,12 +26,12 @@ def test_square_counts():
     m = build_square_mesh(2)
     assert m.num_nodes == 9
     assert m.num_elements == 8
-    assert m.num_interior == 1
+    assert int((~m.boundary_mask).sum()) == 1
 
     m3 = build_square_mesh(3)
     assert m3.num_nodes == 16
     assert m3.num_elements == 18
-    assert m3.num_interior == 4
+    assert int((~m3.boundary_mask).sum()) == 4
 
 
 def test_square_rejects_small_n():
@@ -65,7 +65,7 @@ def test_boundary_classification():
     m = build_square_mesh(4)
     on_edge = np.any((m.nodes == 0.0) | (m.nodes == 1.0), axis=1)
     assert np.array_equal(m.boundary_mask, on_edge)
-    assert m.num_interior == 9
+    assert int((~m.boundary_mask).sum()) == 9
 
 
 def test_restrict_nodal_roundtrip():
