@@ -40,7 +40,6 @@ _DESK_REFERENCE = {1: (512, 1000), 2: (128, 500)}
 @dataclass(frozen=True)
 class InitialData:
     name: str
-    dim: int
     func: object
     subdivide: bool = False   # discontinuous data wants subdivided quadrature
 
@@ -64,12 +63,11 @@ def get_initial_data(name: str, dim: int) -> InitialData:
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     if name == "smooth_sine":
         if dim == 1:
-            return InitialData(name, 1, lambda x: np.sin(2 * np.pi * x))
-        return InitialData(name, 2,
-                           lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
+            return InitialData(name, lambda x: np.sin(2 * np.pi * x))
+        return InitialData(name, lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
     if name == "checkerboard":
         fn = _checkerboard_1d if dim == 1 else _checkerboard_2d
-        return InitialData(name, dim, fn, subdivide=True)
+        return InitialData(name, fn, subdivide=True)
     base, colon, suffix = name.partition(":")
     if base == "eigenmode":
         try:
@@ -81,9 +79,8 @@ def get_initial_data(name: str, dim: int) -> InitialData:
                              "positive mode numbers, eigenmode:k[,l]")
         k, l = modes[0], modes[-1]
         if dim == 1:
-            return InitialData(name, 1, lambda x: np.sin(k * np.pi * x))
-        return InitialData(name, 2,
-                           lambda x, y: np.sin(k * np.pi * x) * np.sin(l * np.pi * y))
+            return InitialData(name, lambda x: np.sin(k * np.pi * x))
+        return InitialData(name, lambda x, y: np.sin(k * np.pi * x) * np.sin(l * np.pi * y))
     raise ValueError(f"unknown initial data {name!r}")
 
 
@@ -108,7 +105,9 @@ class ExperimentSpec:
 
     Either (n, N, backward.gamma) are given explicitly, or ``preset``
     derives (gamma, h, tau) from the noise level, in which case n and N
-    follow from h and tau, and n_ref snaps to the nearest multiple of n.
+    follow from h and tau.  An unset n_ref, or any n_ref under a preset,
+    snaps to the nearest multiple of n; an unset N_ref is N or the desk
+    default, whichever is larger.
     """
 
     alpha: float
@@ -220,9 +219,6 @@ def _resolve(spec: ExperimentSpec) -> ResolvedSpec:
     for name, value in (("n", spec.n), ("n_ref", spec.n_ref)):
         if value is not None and value < 2:
             raise ValueError(f"a mesh needs {name} >= 2 cells per side, got {value}")
-    ref_defaults = _DESK_REFERENCE[spec.dim]
-    n_ref_target = spec.n_ref if spec.n_ref is not None else ref_defaults[0]
-    N_ref = spec.N_ref if spec.N_ref is not None else ref_defaults[1]
     backward = dict(spec.backward)
 
     if spec.preset is not None:
@@ -230,16 +226,19 @@ def _resolve(spec: ExperimentSpec) -> ResolvedSpec:
         backward.setdefault("gamma", params["gamma"])
         n = spec.n if spec.n is not None else max(2, round(1.0 / params["h"]))
         N = spec.N if spec.N is not None else max(1, round(spec.T / params["tau"]))
-        n_ref = _nearest_multiple(n, n_ref_target)
     else:
         if spec.n is None or spec.N is None:
             raise ValueError("without a preset, both n and N must be given")
         if "gamma" not in backward:
             raise ValueError("without a preset, backward.gamma must be given")
         n, N = spec.n, spec.N
-        n_ref = n_ref_target
-        if n_ref % n != 0:
-            raise ValueError(f"meshes not nested: n={n} does not divide n_ref={n_ref}")
+    n_ref_default, N_ref_default = _DESK_REFERENCE[spec.dim]
+    n_ref = spec.n_ref if spec.n_ref is not None else n_ref_default
+    if spec.preset is not None or spec.n_ref is None:
+        n_ref = _nearest_multiple(n, n_ref)
+    elif n_ref % n != 0:
+        raise ValueError(f"meshes not nested: n={n} does not divide n_ref={n_ref}")
+    N_ref = spec.N_ref if spec.N_ref is not None else max(N_ref_default, N)
     if N > N_ref:
         raise ValueError(f"reconstruction steps N={N} exceed reference N_ref={N_ref}")
     return ResolvedSpec(spec=spec, dim=spec.dim, n=n, n_ref=n_ref,
@@ -370,8 +369,9 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None) -> dict:
     Returns {"alphas", "deltas", "errors" (mean e_u per cell), "orders",
     "rows"}.  Every cell is resolved, and so validated, before the first
     solve; two cells with the same file tag are refused.  Worker count
-    follows FRACBACK_THREADS (default 1); results are written in
-    deterministic row order regardless of schedule.  Each finished cell
+    follows FRACBACK_THREADS (default 1).  Each cell writes its field and
+    history CSVs when it finishes; rows come back in deterministic row
+    order regardless of schedule.  Each finished cell
     is logged at INFO level on this module's logger.
     """
     deltas = list(deltas)
@@ -395,16 +395,16 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None) -> dict:
 
     threads = max(1, int(os.environ.get("FRACBACK_THREADS", "1")))
     jobs = []
-    for row_index, alpha, delta in cells:
+    for (row_index, alpha, delta), tag in zip(cells, tags):
         cell_spec = replace(spec, alpha=alpha, noise=replace(spec.noise, delta=delta))
         seeds = [_derived_seed(spec.noise.seed, row_index, r)
                  for r in range(spec.repetitions)]
-        jobs.append((cell_spec, seeds))
+        jobs.append((cell_spec, seeds, tag))
     # every cell is resolved, and so validated, before the first solve; the
     # workers resolve theirs again, since the resolved nonlinearity and
     # initial data hold lambdas, which do not pickle
     meshes = []
-    for cell_spec, _ in jobs:
+    for cell_spec, _, _ in jobs:
         res = cell_spec.resolved()
         meshes.append((res.dim, res.n))
     out_dir = _make_output_dir(spec.output_dir)
@@ -413,33 +413,31 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None) -> dict:
     # cells ordered by coarse mesh and cut into one contiguous chunk per
     # worker, no more workers than cells: a chunk's cells share a system
     # (and its eigensolve) per mesh, so a mesh is factored at most once per
-    # worker while every worker keeps reference solves to run; results go
-    # back to row order
+    # worker while every worker keeps reference solves to run; each cell
+    # writes its own field and history files, and its rows go back to row
+    # order
     order = sorted(range(len(jobs)), key=lambda i: meshes[i])
     workers = min(threads, len(jobs))
     chunks = [order[k * len(order) // workers:(k + 1) * len(order) // workers]
               for k in range(workers)]
-    chunk_jobs = [[jobs[i] for i in c] for c in chunks]
+    chunk_jobs = [(out_dir, [jobs[i] for i in c]) for c in chunks]
     if len(chunks) == 1:
         done = map(_table_cells, chunk_jobs)
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             done = list(pool.map(_table_cells, chunk_jobs))
-    cell_results = [None] * len(jobs)
+    cell_rows = [None] * len(jobs)
     for chunk, results in zip(chunks, done):
         for i, result in zip(chunk, results):
-            cell_results[i] = result
+            cell_rows[i] = result
 
     rows = []
     errors = np.zeros((len(alphas), len(deltas)))
-    for (row_index, alpha, delta), tag, (cell_rows, field_gf, hist) in zip(
-            cells, tags, cell_results):
-        rows.extend(cell_rows)
+    for (row_index, alpha, delta), cell in zip(cells, cell_rows):
+        rows.extend(cell)
         errors[row_index // len(deltas), row_index % len(deltas)] = float(
-            np.mean([r["e_u"] for r in cell_rows]))
-        write_field_csv(field_gf, out_dir / f"field_u0hat_{tag}.csv")
-        _write_history_csv(hist, out_dir / f"history_{tag}.csv")
+            np.mean([r["e_u"] for r in cell]))
         log.info("[table] alpha=%g delta=%g e_u=%.4e", alpha, delta,
                  errors[row_index // len(deltas), row_index % len(deltas)])
 
@@ -460,13 +458,14 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None) -> dict:
             "orders": orders, "rows": rows}
 
 
-def _table_cell(job, systems):
+def _table_cell(job, systems, out_dir):
     """One (alpha, delta) cell: one reference solve and one projection of the
-    truth, then every repetition on them; the first seed keeps artifacts.
+    truth, then every repetition on them.  Writes the first seed's field and
+    history files into ``out_dir`` and returns the summary rows.
 
     ``systems`` maps (dim, n) to the coarse systems of the sweep.
     """
-    cell_spec, seeds = job
+    cell_spec, seeds, tag = job
     res = cell_spec.resolved()
     key = (res.dim, res.n)
     if key not in systems:
@@ -475,13 +474,17 @@ def _table_cell(job, systems):
     truth = l2_project(systems[key], res.data.func, subdivide=res.data.subdivide)
     runs = [_run_single(res, seed=seed, clean=g_clean, truth=truth) for seed in seeds]
     first = runs[0][1]
-    return [row for row, _ in runs], first.u0_hat, first.history
+    write_field_csv(first.u0_hat, out_dir / f"field_u0hat_{tag}.csv")
+    _write_history_csv(first.history, out_dir / f"history_{tag}.csv")
+    return [row for row, _ in runs]
 
 
-def _table_cells(jobs):
-    """A worker's chunk of cells, in order, sharing one system per mesh."""
+def _table_cells(chunk):
+    """A worker's chunk ``(out_dir, jobs)`` of cells, in order, sharing one
+    system per mesh."""
+    out_dir, jobs = chunk
     systems = {}
-    return [_table_cell(job, systems) for job in jobs]
+    return [_table_cell(job, systems, out_dir) for job in jobs]
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ class FemSystem:
     picks, such as ``"eig"`` for the dense eigenpairs (:meth:`eigenpairs`)
     or ``("step", grid)`` for the step factor of one time grid.  Nothing
     outside the system keeps them, so dropping the last reference to a
-    system releases its factors; a pickled copy leaves them out.
+    system releases its factors.
     """
 
     def __init__(self, mesh, M, K, b_d, interior_ids):
@@ -136,11 +136,6 @@ class FemSystem:
         self.b_d = b_d
         self.interior_ids = interior_ids
         self._derived = {}
-
-    def __getstate__(self):
-        # a pickled copy (e.g. a result sent back by a worker process)
-        # carries the matrices only and rebuilds derived data on use
-        return {**self.__dict__, "_derived": {}}
 
     def derived(self, key, build):
         """The value kept under ``key``, made by ``build()`` on first use."""
@@ -250,10 +245,7 @@ def _load_vector(mesh, f, rule):
     pts = mesh.nodes[conn]                       # (ne, nv, dim)
     measures = mesh.element_measures()
     xq = np.einsum("qv,evd->eqd", bary, pts)     # (ne, nq, dim)
-    if mesh.dim == 1:
-        fvals = f(xq[:, :, 0])
-    else:
-        fvals = f(xq[:, :, 0], xq[:, :, 1])
+    fvals = f(*np.moveaxis(xq, -1, 0))           # f(x) or f(x, y)
     fvals = np.broadcast_to(np.asarray(fvals, dtype=np.float64), xq.shape[:2])
     # contribution of quad point q to local vertex v: w_q * f_q * bary[q, v]
     loc = np.einsum("eq,q,qv->ev", fvals, w, bary) * measures[:, None]
@@ -314,13 +306,5 @@ def l2_error(sys: FemSystem, u: GridFunction, ref: GridFunction, *, relative=Fal
 def write_field_csv(gf: GridFunction, path):
     """Dump nodal values (boundary zeros included) as x[,y],value CSV."""
     mesh = gf.system.mesh
-    vals = gf.full_values()
-    with open(path, "w", encoding="utf-8") as fh:
-        if mesh.dim == 1:
-            fh.write("x,value\n")
-            for x, v in zip(mesh.nodes[:, 0], vals):
-                fh.write(f"{x:.12e},{v:.12e}\n")
-        else:
-            fh.write("x,y,value\n")
-            for (x, y), v in zip(mesh.nodes, vals):
-                fh.write(f"{x:.12e},{y:.12e},{v:.12e}\n")
+    np.savetxt(path, np.column_stack([mesh.nodes, gf.full_values()]), fmt="%.12e",
+               delimiter=",", header=",".join("xy"[:mesh.dim]) + ",value", comments="")

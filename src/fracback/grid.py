@@ -61,10 +61,7 @@ class Mesh:
 
 
 def _finalize(dim, n, nodes, elements):
-    if dim == 1:
-        on_boundary = (nodes[:, 0] == 0.0) | (nodes[:, 0] == 1.0)
-    else:
-        on_boundary = np.any((nodes == 0.0) | (nodes == 1.0), axis=1)
+    on_boundary = np.any((nodes == 0.0) | (nodes == 1.0), axis=1)
     nodes.setflags(write=False)
     elements.setflags(write=False)
     on_boundary.setflags(write=False)
@@ -115,8 +112,9 @@ def restrict_nodal(fine: Mesh, coarse: Mesh, fine_node_values: np.ndarray) -> np
     """Sample nodal values from a nested fine mesh at the coarse nodes.
 
     Requires coarse.n to divide fine.n; coarse node (i/n, j/n) is fine
-    node (ri/rn, rj/rn) with r = fine.n // coarse.n, so the restriction
-    is exact index arithmetic, no interpolation.
+    node (ri/rn, rj/rn) with r = fine.n // coarse.n.  The nodes are the
+    (n+1)^dim lattice in C order, so the restriction is every r-th node
+    along each axis: exact sampling, no interpolation.
     """
     if fine.dim != coarse.dim:
         raise ValueError("meshes have different dimensions")
@@ -125,10 +123,5 @@ def restrict_nodal(fine: Mesh, coarse: Mesh, fine_node_values: np.ndarray) -> np
     r = fine.n // coarse.n
     if fine_node_values.shape[0] != fine.num_nodes:
         raise ValueError("value vector does not match the fine mesh")
-    if fine.dim == 1:
-        idx = np.arange(coarse.n + 1) * r
-    else:
-        i = np.arange(coarse.n + 1) * r
-        ixf, iyf = np.meshgrid(i, i, indexing="xy")
-        idx = (iyf * (fine.n + 1) + ixf).ravel()
-    return fine_node_values[idx]
+    lattice = fine_node_values.reshape((fine.n + 1,) * fine.dim)
+    return lattice[(slice(None, None, r),) * fine.dim].flatten()

@@ -1,5 +1,4 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -265,9 +264,6 @@ def test_system_keeps_one_symbol_per_grid(monkeypatch, grid):
     assert coeffs.shape == (grid.N + 1,)
     Propagator(sys, TimeGrid(T=grid.T, N=grid.N, alpha=grid.alpha), "series", series_tol=1e-8)
     assert sys._derived["series", grid] is coeffs
-    copy = pickle.loads(pickle.dumps(sys))
-    assert copy._derived == {} and len(sys._derived) == 4
-    assert np.array_equal(copy.M.toarray(), sys.M.toarray())
 
 
 def test_huge_gamma_limit(sys16, grid):

@@ -23,7 +23,7 @@ from fracback.bench import (
     _derived_seed,
     _run_single,
 )
-from fracback.fem import assemble, l2_norm, l2_project, GridFunction
+from fracback.fem import NumericalFailure, assemble, l2_norm, l2_project, GridFunction
 from fracback.grid import build_interval_mesh, build_square_mesh, restrict_nodal
 
 
@@ -144,6 +144,18 @@ def test_resolve_requires_nesting():
                    {"n": 0, "N": None, "preset": "paper-ex1", "backward": {}}):
         with pytest.raises(ValueError, match=">= 2 cells per side"):
             small_spec(**fields).resolved()
+
+
+def test_resolve_fits_unset_reference_grids():
+    # an unset n_ref is the multiple of n nearest the desk default, an unset
+    # N_ref the desk default or N, whichever is larger; set grids are kept
+    for dim, n, n_ref in ((1, 12, 516), (2, 12, 132), (1, 16, 512), (2, 16, 128)):
+        res = small_spec(dim=dim, n=n, n_ref=None).resolved()
+        assert res.n_ref == n_ref
+    assert small_spec(N=2000, N_ref=None).resolved().grid_ref.N == 2000
+    assert small_spec(N=20, N_ref=None).resolved().grid_ref.N == 1000
+    with pytest.raises(ValueError, match="exceed reference N_ref=1500"):
+        small_spec(N=2000, N_ref=1500).resolved()
 
 
 def test_resolve_preset_derives_parameters():
@@ -294,6 +306,26 @@ def test_run_table_logs_one_record_per_cell(tmp_path, caplog):
     assert [r.getMessage().split(" e_u=")[0] for r in records] == [
         f"[table] alpha={a} delta={d}" for a in (0.4, 0.6) for d in (0.002, 0.001)]
     assert all(r.levelno == logging.INFO for r in records)
+
+
+def test_failed_sweep_keeps_finished_cells_files(tmp_path, monkeypatch):
+    # each cell writes its field and history as it finishes: a numerical
+    # failure in a later cell leaves them, and no table.csv or manifest.json
+    run_single = bench._run_single
+
+    def fail_at_alpha_06(res, **kwargs):
+        if res.grid.alpha == 0.6:
+            raise NumericalFailure("injected failure")
+        return run_single(res, **kwargs)
+
+    monkeypatch.setattr(bench, "_run_single", fail_at_alpha_06)
+    monkeypatch.setenv("FRACBACK_THREADS", "1")
+    with pytest.raises(NumericalFailure, match="injected failure"):
+        run_table(small_spec(output_dir=str(tmp_path)), deltas=[2e-3, 1e-3],
+                  alphas=[0.4, 0.6])
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+        f"{kind}_a0p4_{d}.csv" for kind in ("field_u0hat", "history")
+        for d in ("d0p002", "d0p001"))
 
 
 def test_run_table_validation(tmp_path):

@@ -9,7 +9,9 @@ from fracback.bench import ExperimentSpec
 from fracback.cli import main
 
 
-def write_config(tmp_path, **overrides):
+def write_config(tmp_path, drop=(), **overrides):
+    """Write the small 1D test config with ``overrides``, leaving out the
+    keys in ``drop``."""
     cfg = dict(
         alpha=0.5, T=1.0, nonlinearity="sqrt1pu2", initial_data="smooth_sine",
         noise=dict(delta=1e-3, seed=42),
@@ -17,6 +19,8 @@ def write_config(tmp_path, **overrides):
         backward=dict(gamma=1e-3),
         output_dir=str(tmp_path / "out"), repetitions=1)
     cfg.update(overrides)
+    for key in drop:
+        del cfg[key]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -170,12 +174,14 @@ def test_zero_iteration_cap_is_usage_error(tmp_path, capsys, cap, no_solve):
     {"T": math.nan}, {"noise": {"delta": math.inf, "seed": 42}}, {"n": 0},
     {"noise": {"delta": 1e-3, "mode": "paper_scalar", "seed": 42}},
     {"nonlinearity": "L_sqrt1pu2:nan"}, {"nonlinearity": "L_sqrt1pu2:inf"},
-    {"noise": {"delta": 1e-3, "seed": -3}}],
+    {"noise": {"delta": 1e-3, "seed": -3}}, {"n": None}, {"N": None}, {"backward": {}},
+    {"N": 60}],
     ids=["fp_max", "alpha", "T", "nonlinearity", "initial_data", "fp_max_type",
          "seed_str", "seed_float", "output_dir_type", "nonlinearity_type",
          "initial_data_type", "fp_max_float", "n_float", "repetitions_bool",
          "fp_tol_nan", "gamma_nan", "T_nan", "delta_inf", "n_zero", "noise_mode",
-         "L_nan", "L_inf", "seed_negative"])
+         "L_nan", "L_inf", "seed_negative", "n_unset", "N_unset", "gamma_missing",
+         "N_above_N_ref"])
 def test_invalid_spec_fails_before_any_solve(tmp_path, capsys, no_solve, command, override):
     cfg = write_config(tmp_path, **override)
     argv = [command, "--config", str(cfg), "--quiet"]
@@ -184,6 +190,28 @@ def test_invalid_spec_fails_before_any_solve(tmp_path, capsys, no_solve, command
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("usage error:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "backward", "table"])
+def test_missing_field_fails_before_any_solve(tmp_path, capsys, no_solve, command):
+    cfg = write_config(tmp_path, drop=("T",))
+    argv = [command, "--config", str(cfg), "--quiet"]
+    if command == "table":
+        argv += ["--deltas", "0.002,0.001"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: invalid experiment spec:")
+    assert "missing 1 required positional argument: 'T'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dim, grids", [(1, {"n": 12}), (2, {"n": 12}), (1, {"N": 2000})],
+                         ids=["n12_1d", "n12_2d", "N2000"])
+def test_forward_runs_without_reference_grids(tmp_path, capsys, dim, grids):
+    # forward never solves on the reference grids; unset, they fit the run's
+    cfg = write_config(tmp_path, drop=("n_ref", "N_ref"), dim=dim, **grids)
+    assert main(["forward", "--config", str(cfg), "--quiet"]) == 0
+    assert (tmp_path / "out" / "field_terminal.csv").exists()
 
 
 def test_table_bad_alpha_fails_before_any_solve(tmp_path, capsys, no_solve):

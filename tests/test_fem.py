@@ -158,6 +158,17 @@ def test_project_checkerboard_integral():
         assert gap < sys.mesh.h
         gaps.append(gap)
     assert gaps[1] < 0.6 * gaps[0]
+    # 1D, 1 on [0, 1/2]: with P the projection, (P chi, 1) = (chi, P 1), and
+    # P 1 = 1 - r^i at node i with r = sqrt(3) - 2, so the strip loses
+    # h (1/2 + r / (1 - r)) = h / (2 sqrt(3)) up to terms of size |r|^(n/2).
+    # The subdivided rule integrates chi exactly; Simpson's would count
+    # chi(1/2) = 1 on both sides of x = 1/2 and miss this value.
+    data = get_initial_data("checkerboard", 1)
+    for n in (16, 32):
+        sys = assemble(build_interval_mesh(n))
+        g = l2_project(sys, data.func, subdivide=True)
+        integral = float(g.values @ (sys.M @ np.ones(sys.num_dofs) + sys.b_d))
+        assert 0.5 - integral == pytest.approx(sys.mesh.h / (2 * np.sqrt(3)), rel=1e-6)
 
 
 def test_load_nonlinear_zero(sys2d):

@@ -233,6 +233,35 @@ def test_forward_matches_pointwise_ml():
         mittag_leffler(0.5, 1.0, -np.pi ** 2), rel=1e-12, abs=0)
 
 
+def test_square_forward_matches_pointwise_ml():
+    # mode (k, l) of the square has eigenvalue (k^2 + l^2) pi^2 and decays
+    # by E_alpha(-lam T^alpha)
+    coeffs = np.arange(1.0, 10.0).reshape(3, 3)
+    field = SpectralField("square", coeffs)
+    lam = field.eigenvalues()
+    out = spectral_forward_linear(field, 0.5, 0.7)
+    assert out.domain == "square" and out.coeffs.shape == (3, 3)
+    for k in range(1, 4):
+        for l in range(1, 4):
+            lam_kl = (k * k + l * l) * np.pi ** 2
+            assert lam[k - 1, l - 1] == pytest.approx(lam_kl, rel=1e-15)
+            want = coeffs[k - 1, l - 1] * mittag_leffler(0.5, 1.0, -lam_kl * 0.7 ** 0.5)
+            assert out.coeffs[k - 1, l - 1] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_spectral_field_checks_inputs():
+    for domain, coeffs, message in (("disk", np.ones(3), "unknown domain"),
+                                    ("interval", np.ones((2, 2)), "1-d coefficients"),
+                                    ("square", np.ones(3), "2-d coefficients"),
+                                    ("square", np.ones((2, 3)), "K x K")):
+        with pytest.raises(ValueError, match=message):
+            SpectralField(domain, coeffs)
+    field = SpectralField("interval", np.ones(2))
+    for T in (0.0, -1.0):
+        with pytest.raises(ValueError, match="terminal time must be positive"):
+            spectral_forward_linear(field, 0.5, T)
+
+
 def test_sample_zero_field():
     field = SpectralField("interval", np.zeros(3))
     gf = sample_on_mesh(field, build_interval_mesh(8))
