@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields, asdict, replace
@@ -53,6 +54,11 @@ def _checkerboard_2d(x, y):
     return np.where(inside, 1.0, 0.0)
 
 
+def _sine_product(modes):
+    """x -> prod_i sin(k_i pi x_i) over the coordinates given, k_i = modes[i]."""
+    return lambda *x: math.prod(np.sin(k * np.pi * xi) for k, xi in zip(modes, x))
+
+
 def get_initial_data(name: str, dim: int) -> InitialData:
     """Initial-data generators: smooth_sine, checkerboard, eigenmode:k[,l].
 
@@ -62,9 +68,7 @@ def get_initial_data(name: str, dim: int) -> InitialData:
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     if name == "smooth_sine":
-        if dim == 1:
-            return InitialData(name, lambda x: np.sin(2 * np.pi * x))
-        return InitialData(name, lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
+        return InitialData(name, _sine_product((2,) * dim))
     if name == "checkerboard":
         fn = _checkerboard_1d if dim == 1 else _checkerboard_2d
         return InitialData(name, fn, subdivide=True)
@@ -77,10 +81,7 @@ def get_initial_data(name: str, dim: int) -> InitialData:
         if not 1 <= len(modes) <= dim or min(modes) < 1:
             raise ValueError(f"initial data {name!r}: eigenmode takes up to {dim} "
                              "positive mode numbers, eigenmode:k[,l]")
-        k, l = modes[0], modes[-1]
-        if dim == 1:
-            return InitialData(name, lambda x: np.sin(k * np.pi * x))
-        return InitialData(name, lambda x, y: np.sin(k * np.pi * x) * np.sin(l * np.pi * y))
+        return InitialData(name, _sine_product((modes[0], modes[-1])[:dim]))
     raise ValueError(f"unknown initial data {name!r}")
 
 

@@ -1,8 +1,9 @@
 """P1 finite element machinery on the meshes from :mod:`fracback.grid`.
 
 Assembles mass/stiffness matrices with homogeneous Dirichlet dofs
-eliminated, computes L2 projections and nonlinear load vectors, and
-provides the discrete L2 norm and error.  The discrete
+eliminated, by one element formula for any simplex, interval or triangle
+(:func:`assemble_full`), computes L2 projections and nonlinear load
+vectors, and provides the discrete L2 norm and error.  The discrete
 Laplacian is never formed explicitly; it lives in the pencil (K, M).
 SciPy is imported where it is first needed, not with the module:
 ``scipy.sparse`` by :func:`assemble_full` and ``scipy.linalg`` by
@@ -23,8 +24,11 @@ class NumericalFailure(RuntimeError):
 
 
 # Largest system, in dofs, on which the dense (K, M) eigensolve runs: it
-# costs O(d^3) time and, at its peak, 4 d^2 doubles (537 MB at the cap).
-DENSE_CAP = 4096
+# costs O(d^3) time and, at its peak, 4 d^2 doubles (43 MB at the cap).
+# Six reconstructions sharing one system run no slower dense than by the
+# Chebyshev series up to 1,156 dofs; the two tie at 1,225, and from 1,521
+# on the series is faster (BENCH_dense_cap.json).
+DENSE_CAP = 1156
 
 
 class UnsupportedSize(ValueError):
@@ -68,48 +72,34 @@ def conjugate_gradient(apply_op, b, *, tol=1e-12, maxiter=1000, dot=None, contex
 # ---------------------------------------------------------------------------
 # assembly
 
-def _local_matrices_1d(h):
-    m = h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-    k = 1.0 / h * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return m, k
-
-
 def assemble_full(mesh):
-    """Full (all-node) mass and stiffness matrices in CSR format."""
+    """Full (all-node) mass and stiffness matrices in CSR format.
+
+    One P1 element on a d-simplex with measure |e| (see
+    :meth:`fracback.grid.Mesh.element_measures`): the barycentric
+    gradients of vertices 1..d are the columns of E^-1, E the d×d matrix
+    whose rows are the edge vectors p_i - p_0, and vertex 0's is minus
+    their sum.  With G holding them as rows, K_loc = |e| G Gᵀ and
+    M_loc = |e| (1 + δ_ij) / ((d+1)(d+2)).
+    """
     import scipy.sparse as sp
 
     nn = mesh.num_nodes
-    if mesh.dim == 1:
-        h = mesh.h
-        m_loc, k_loc = _local_matrices_1d(h)
-        conn = mesh.elements
-        ne, nv = conn.shape
-        m_vals = np.tile(m_loc.ravel(), ne)
-        k_vals = np.tile(k_loc.ravel(), ne)
-    else:
-        conn = mesh.elements
-        ne, nv = conn.shape
-        pts = mesh.nodes[conn]            # (ne, 3, 2)
-        a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
-        area = mesh.element_measures()
-        # grad phi_i = rotated opposite edge / (2 area)
-        g = np.empty((ne, 3, 2))
-        g[:, 0, 0] = b[:, 1] - c[:, 1]
-        g[:, 0, 1] = c[:, 0] - b[:, 0]
-        g[:, 1, 0] = c[:, 1] - a[:, 1]
-        g[:, 1, 1] = a[:, 0] - c[:, 0]
-        g[:, 2, 0] = a[:, 1] - b[:, 1]
-        g[:, 2, 1] = b[:, 0] - a[:, 0]
-        g /= (2.0 * area)[:, None, None]
-        k_loc = np.einsum("eid,ejd->eij", g, g) * area[:, None, None]
-        m_ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        m_loc = m_ref[None, :, :] * area[:, None, None]
-        m_vals = m_loc.ravel()
-        k_vals = k_loc.ravel()
+    conn = mesh.elements
+    nv = conn.shape[1]
+    pts = mesh.nodes[conn]                          # (ne, d+1, d)
+    measure = mesh.element_measures()[:, None, None]
+    # B maps the columns of E^-1 to all d+1 gradients, as the rows of G
+    B = np.vstack([-np.ones(nv - 1), np.eye(nv - 1)])
+    G = B @ np.linalg.inv(pts[:, 1:] - pts[:, :1]).transpose(0, 2, 1)
+    k_loc = G @ G.transpose(0, 2, 1)
+    k_loc *= measure
+    m_ref = (np.ones((nv, nv)) + np.eye(nv)) / (nv * (nv + 1))
+    m_vals = (m_ref * measure).ravel()
     rows = np.repeat(conn, nv, axis=1).ravel()
     cols = np.tile(conn, (1, nv)).ravel()
     M = sp.coo_matrix((m_vals, (rows, cols)), shape=(nn, nn)).tocsr()
-    K = sp.coo_matrix((k_vals, (rows, cols)), shape=(nn, nn)).tocsr()
+    K = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(nn, nn)).tocsr()
     return M, K
 
 
@@ -229,9 +219,11 @@ def _subdivided_rule(dim, s=4):
     pts = []
     for i in range(s):
         for j in range(s - i):
-            pts.append(((i + i + i + 1) / (3.0 * s), (j + j + j + 1) / (3.0 * s)))
+            # centroids of the sub-triangles (i, j), (i+1, j), (i, j+1) and,
+            # inside the refinement, (i+1, j), (i, j+1), (i+1, j+1)
+            pts.append(((3 * i + 1) / (3.0 * s), (3 * j + 1) / (3.0 * s)))
             if i + j < s - 1:
-                pts.append(((i + i + 1 + 1) / (3.0 * s), (j + j + 1 + 1) / (3.0 * s)))
+                pts.append(((3 * i + 2) / (3.0 * s), (3 * j + 2) / (3.0 * s)))
     xi = np.array(pts)
     bary = np.column_stack([1.0 - xi[:, 0] - xi[:, 1], xi[:, 0], xi[:, 1]])
     w = np.full(len(pts), 1.0 / (s * s))

@@ -3,11 +3,15 @@
 The square is triangulated in the Friedrichs-Keller pattern: every
 lattice cell is split along the same lower-left to upper-right diagonal,
 so meshes at different resolutions are deterministically comparable and
-mesh(n) nodes are a subset of mesh(r*n) nodes for any integer r.
+mesh(n) nodes are a subset of mesh(r*n) nodes for any integer r.  Each
+triangle lists its right-angle vertex first, so its edge vectors from
+that vertex are axis-parallel and the stiffness coupling across the
+diagonal comes out as an exact zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +21,9 @@ import numpy as np
 class Mesh:
     """P1 mesh of (0,1) or (0,1)^2 with Dirichlet boundary classification.
 
-    Nodes are ordered lexicographically by (y, x); elements are index
-    pairs (1D) or counterclockwise triangles (2D).
+    Nodes are ordered lexicographically by (y, x); elements are the d+1
+    vertex indices of each simplex: pairs (1D) or counterclockwise
+    triangles (2D).
     """
 
     dim: int
@@ -40,14 +45,10 @@ class Mesh:
         return self.elements.shape[0]
 
     def element_measures(self) -> np.ndarray:
-        """Signed length/area of every element (positive by construction)."""
-        if self.dim == 1:
-            a, b = self.elements.T
-            return self.nodes[b, 0] - self.nodes[a, 0]
-        a, b, c = self.elements.T
-        pa, pb, pc = self.nodes[a], self.nodes[b], self.nodes[c]
-        return 0.5 * ((pb[:, 0] - pa[:, 0]) * (pc[:, 1] - pa[:, 1])
-                      - (pc[:, 0] - pa[:, 0]) * (pb[:, 1] - pa[:, 1]))
+        """Length or area of every element, det(E)/d! for the (ne, d, d)
+        stack E of edge vectors p_i - p_0 (positive by construction)."""
+        pts = self.nodes[self.elements]
+        return np.linalg.det(pts[:, 1:] - pts[:, :1]) / math.factorial(self.dim)
 
     def meta(self) -> dict:
         """Mesh size and counts, echoed in ``fracback forward``'s manifest.json."""
@@ -99,9 +100,11 @@ def build_square_mesh(n: int) -> Mesh:
     b = nid(ix + 1, iy)
     c = nid(ix + 1, iy + 1)
     d = nid(ix, iy + 1)
-    # two triangles per cell, split along the a-c diagonal, both CCW
-    lower = np.column_stack([a, b, c])
-    upper = np.column_stack([a, c, d])
+    # two triangles per cell, split along the a-c diagonal, both CCW and
+    # listed from their right angle: every edge matrix is a signed
+    # permutation of a diagonal matrix, which LAPACK inverts exactly
+    lower = np.column_stack([b, c, a])
+    upper = np.column_stack([d, a, c])
     elements = np.empty((2 * n * n, 3), dtype=np.int64)
     elements[0::2] = lower
     elements[1::2] = upper

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -323,3 +324,21 @@ def test_backward_row_reports_series_propagator(tmp_path):
     assert all(0.0 < q < 1.0 for q in row["update_ratios"])
     header = (out / "history.csv").read_text().splitlines()[0]
     assert header == "iter,update_norm,error_vs_truth,cg_iters,cumulative_forward_solves"
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_example_configs_resolve():
+    paths = sorted((_ROOT / "examples").glob("*.json"))
+    assert paths
+    for path in paths:
+        ExperimentSpec.from_json(path).resolved()
+
+
+def test_readme_config_paths_exist():
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    configs = re.findall(r"--config\s+(\S+)", readme)
+    assert configs
+    for path in configs:
+        assert (_ROOT / path).is_file(), path

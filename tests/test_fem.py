@@ -19,7 +19,7 @@ from fracback.fem import (
     write_field_csv,
 )
 from fracback.forward import get_nonlinearity
-from fracback.grid import build_interval_mesh, build_square_mesh
+from fracback.grid import Mesh, build_interval_mesh, build_square_mesh
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +51,92 @@ def test_full_stiffness_kills_linear_function(sys1d):
     Mf, Kf = assemble_full(sys1d.mesh)
     x = sys1d.mesh.nodes[:, 0]
     assert np.allclose((Kf @ x)[sys1d.interior_ids], 0.0, atol=1e-13)
+
+
+def _simplex_mesh(nodes, elements):
+    """A mesh of separate elements given by hand (no shared vertices needed)."""
+    nodes = np.asarray(nodes, dtype=np.float64)
+    return Mesh(dim=nodes.shape[1], n=1, nodes=nodes,
+                elements=np.asarray(elements, dtype=np.int64),
+                boundary_mask=np.zeros(nodes.shape[0], dtype=bool))
+
+
+def _local_blocks(mesh):
+    """Per-element (M_loc, K_loc) read back from the full matrices of a mesh
+    whose elements share no vertex."""
+    Mf, Kf = assemble_full(mesh)
+    return [(Mf[e][:, e].toarray(), Kf[e][:, e].toarray()) for e in mesh.elements]
+
+
+# counterclockwise triangles of varied shape: obtuse, thin, large, off-origin
+_TRIANGLES = [
+    [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+    [(0.1, 0.2), (0.9, 0.35), (0.3, 0.8)],
+    [(-1.0, 0.5), (2.0, 0.4), (1.9, 0.47)],
+    [(3.0, -2.0), (3.5, 4.0), (-7.0, 1.0)],
+    [(0.25, 0.25), (0.5, 0.25), (0.5, 0.5)],
+]
+
+
+def test_interval_element_matches_textbook():
+    for a, b in [(0.0, 1.0), (0.3, 0.7), (-2.0, 5.5), (1e-3, 1.0 + 1e-3)]:
+        (m_loc, k_loc), = _local_blocks(_simplex_mesh([[a], [b]], [[0, 1]]))
+        h = b - a
+        assert np.allclose(k_loc, np.array([[1.0, -1.0], [-1.0, 1.0]]) / h, rtol=1e-14, atol=0)
+        assert np.allclose(m_loc, h / 6 * np.array([[2.0, 1.0], [1.0, 2.0]]), rtol=1e-14, atol=0)
+
+
+def test_reference_triangle_matches_textbook():
+    mesh = _simplex_mesh(_TRIANGLES[0], [[0, 1, 2]])
+    assert mesh.element_measures() == pytest.approx([0.5], rel=1e-15)
+    (m_loc, k_loc), = _local_blocks(mesh)
+    assert np.allclose(k_loc, 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0],
+                                              [-1.0, 0.0, 1.0]]), rtol=0, atol=1e-15)
+    assert np.allclose(m_loc, (np.ones((3, 3)) + np.eye(3)) / 24, rtol=1e-15, atol=0)
+
+
+def test_triangle_element_under_rotation_and_scaling():
+    tris = np.array(_TRIANGLES)
+    nodes = tris.reshape(-1, 2)
+    elements = np.arange(nodes.shape[0]).reshape(-1, 3)
+    mesh = _simplex_mesh(nodes, elements)
+    base = _local_blocks(mesh)
+    area = mesh.element_measures()
+    # shoelace areas, positive for counterclockwise vertices
+    e1, e2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    assert np.allclose(area, 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]),
+                       rtol=1e-14, atol=0)
+    for theta, scale in [(0.7, 1.0), (2.9, 3.5), (-1.3, 0.01)]:
+        c, s = np.cos(theta), np.sin(theta)
+        moved = scale * nodes @ np.array([[c, s], [-s, c]])
+        mesh = _simplex_mesh(moved, elements)
+        assert np.allclose(mesh.element_measures(), scale ** 2 * area, rtol=1e-13, atol=0)
+        for (_, k0), (m1, k1), a in zip(base, _local_blocks(mesh), area):
+            # K_loc is invariant in 2D; M_loc scales with the area
+            assert np.max(np.abs(k1 - k0)) <= 1e-14 * max(1.0, np.max(np.abs(k0)))
+            assert np.allclose(m1, a * scale ** 2 * (np.ones((3, 3)) + np.eye(3)) / 12,
+                               rtol=1e-13, atol=0)
+
+
+def test_full_stiffness_kills_constants():
+    triangles = _simplex_mesh(np.reshape(_TRIANGLES, (-1, 2)), np.arange(15).reshape(-1, 3))
+    for mesh in (build_interval_mesh(33), build_square_mesh(17), triangles):
+        _, Kf = assemble_full(mesh)
+        ones = np.ones(mesh.num_nodes)
+        assert np.max(np.abs(Kf @ ones)) <= 1e-13 * abs(Kf).max()
+
+
+@pytest.mark.parametrize("n", [2, 14, 17, 66, 70])
+def test_square_mesh_diagonal_couplings_are_exact_zeros(n):
+    # the split diagonal of a Friedrichs-Keller cell is the hypotenuse of
+    # two right triangles: its stiffness coupling vanishes exactly
+    mesh = build_square_mesh(n)
+    _, Kf = assemble_full(mesh)
+    iy, ix = np.divmod(np.arange((n + 1) * n), n + 1)
+    keep = ix < n
+    a = (iy * (n + 1) + ix)[keep]
+    assert np.all(np.asarray(Kf[a, a + n + 2]).ravel() == 0.0)
+    assert np.all(mesh.element_measures() > 0.0)
 
 
 def test_spd(sys2d):
@@ -140,6 +226,15 @@ def test_project_reproduces_p1(sys2d):
     load = sys2d.M @ v
     x, _ = conjugate_gradient(lambda w: sys2d.M @ w, load, tol=1e-12, maxiter=200)
     assert np.max(np.abs(x - v)) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_subdivided_rule_is_the_refinement_centroids(dim):
+    # one point per cell of the 4-fold refinement, at its centroid: the rule
+    # integrates linear functions exactly, whatever the vertex order
+    w, bary = fem._subdivided_rule(dim)
+    assert len({tuple(b) for b in np.round(bary, 12)}) == len(w) == 16
+    assert np.allclose(w @ bary, 1.0 / (dim + 1), rtol=0, atol=1e-15)
 
 
 def test_project_checkerboard_integral():
