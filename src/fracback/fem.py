@@ -24,10 +24,13 @@ class NumericalFailure(RuntimeError):
 
 
 # Largest system, in dofs, on which the dense (K, M) eigensolve runs: it
-# costs O(d^3) time and, at its peak, 4 d^2 doubles (43 MB at the cap).
-# Six reconstructions sharing one system run no slower dense than by the
-# Chebyshev series up to 1,156 dofs; the two tie at 1,225, and from 1,521
-# on the series is faster (BENCH_dense_cap.json).
+# costs O(d^3) time and, at its peak, about 1.35 d^2 doubles on the square
+# (14.3 MB at the cap).  The cap is where six reconstructions sharing one
+# system ran as fast dense as by the Chebyshev series while the eigensolve
+# was one solve of the whole pencil (BENCH_dense_cap.json).  Split by
+# symmetry, the dense path is no slower up to 4,761 dofs
+# (BENCH_eig_symmetry.json); a higher cap would move table3's finest cell
+# onto it, which waits for the decision on retiring the dense path.
 DENSE_CAP = 1156
 
 
@@ -150,21 +153,120 @@ class FemSystem:
         """Generalized eigenpairs of (K, M), eigenvectors M-orthonormal.
 
         Backed by a dense solve; refuses systems above :data:`DENSE_CAP`
-        dofs.  Kept on the system after the first call.  LAPACK works in
-        place on the densified matrices: the Cholesky factor overwrites
-        dense M and the eigenvectors Φ overwrite dense K, so the peak is
-        the two d×d arrays plus dsygvd's 2 d² workspace, 4 d² doubles.
+        dofs.  Kept on the system after the first call.  Eigenvalues
+        ascend, ties in a stable order, and Φ is a Fortran-order d×d array.
+
+        The reflections of :meth:`symmetry_blocks` split the pencil into
+        one block per character, 2 in 1D and 4 on the square, each of
+        about d/2 or d/4 dofs.  Each block goes through LAPACK's dsygvd in
+        place (its Cholesky factor overwrites the dense block of M, its
+        eigenvectors that of K) and Q_s V_s is written straight into Φ,
+        so the peak is Φ plus one block's solve: about 1.35 d² doubles on
+        the square and 2.3 d² in 1D, against 4 d² for one solve of the
+        whole pencil.  A system without the reflections is one block, the
+        whole dense pencil.
         """
         if self.num_dofs > DENSE_CAP:
             raise UnsupportedSize(
                 f"dense eigendecomposition capped at {DENSE_CAP} dofs, "
                 f"system has {self.num_dofs}")
+        return self.derived("eig", self._blocked_eigh)
+
+    def _blocked_eigh(self):
         import scipy.linalg
 
-        # Fortran order lets LAPACK take both arrays without a copy
-        return self.derived("eig", lambda: scipy.linalg.eigh(
-            self.K.toarray(order="F"), self.M.toarray(order="F"),
-            overwrite_a=True, overwrite_b=True))
+        d = self.num_dofs
+        lam = np.empty(d)
+        # Φᵀ in C order: the rows of one block are one contiguous slab
+        phi_t = np.empty((d, d))
+        start = 0
+        for q, col, size in self.symmetry_blocks():
+            end = start + size
+            lam[start:end], v = scipy.linalg.eigh(
+                _dense_block(self.K, q, col, size), _dense_block(self.M, q, col, size),
+                overwrite_a=True, overwrite_b=True)
+            # row k of the slab is column k of Q_s V_s: q[i] V_s[col[i], k];
+            # rows outside the block may hold col -1, which "clip" keeps in
+            # range and q = 0 then zeroes
+            slab = phi_t[start:end]
+            np.take(v.T, col, axis=1, out=slab, mode="clip")
+            slab *= q
+            start = end
+        order = np.argsort(lam, kind="stable")
+        # sort the rows by eigenvalue in place, a band of columns at a time
+        for c in range(0, d, 128):
+            phi_t[:, c:c + 128] = phi_t[order, c:c + 128]
+        return lam[order], phi_t.T
+
+    def symmetry_blocks(self):
+        """Orthonormal bases Q_s that block-diagonalise K and M together.
+
+        The group is generated by the reflections of the interior dof
+        lattice that leave K and M unchanged: the point reflection, which
+        reverses the dof order, and on the square the transpose x <-> y of
+        the (n-1)×(n-1) lattice.  Each is kept only if both matrices match
+        their permuted selves within :data:`_SYMMETRY_RTOL`; the two
+        commute, so the group holds 1, 2 or 4 permutations.  Its
+        characters s are the sign patterns on the kept generators.
+
+        Yields ``(q, col, size)`` per character, where column ``col[i]``
+        of Q_s holds ``q[i]`` in row i, Q_s's only entry in that row, and
+        rows with ``q[i] == 0`` lie in other blocks.  A column collects one
+        orbit of the group with entries ±1/sqrt(|orbit|).
+        """
+        d = self.num_dofs
+        ids = np.arange(d)
+        side = self.mesh.n - 1
+        candidates = [ids[::-1]]
+        if self.mesh.dim == 2 and d == side * side:
+            candidates.append(ids.reshape(side, side).T.ravel())
+        # group[b] composes the generators whose bits are set in b
+        group = [ids]
+        for p in candidates:
+            if _permutation_invariant(self.K, p) and _permutation_invariant(self.M, p):
+                group += [p[g] for g in group]
+        images = np.array(group)                    # images[b, i] = g_b(i)
+        rep = images.min(axis=0)                    # one representative per orbit
+        # hits[b, i]: g_b takes i's representative to i; per column they
+        # count i's stabiliser, |G| / |orbit|
+        hits = images[:, rep] == ids
+        norm = np.sqrt(len(group) * hits.sum(axis=0))
+        for s in range(len(group)):
+            chi = np.array([(-1) ** (s & b).bit_count() for b in range(len(group))])
+            # zero on a whole orbit when chi is -1 somewhere on its stabiliser
+            q = (chi @ hits) / norm
+            columns = (rep == ids) & (q != 0.0)
+            yield q, (np.cumsum(columns) - 1)[rep], int(columns.sum())
+
+
+# Relative gap, against the largest entry, up to which a permuted K or M
+# still counts as the same matrix.  Rounding in the node coordinates gives
+# at most 6.5e-14 (1D at n = 1157; 4.4e-15 on the square).  The couplings
+# a kept reflection drops are of this size, so they move the eigenvalues by
+# about this times lambda_max at most.
+_SYMMETRY_RTOL = 1e-12
+
+
+def _permutation_invariant(A, p) -> bool:
+    """Whether A[p][:, p] equals the CSR matrix A within :data:`_SYMMETRY_RTOL`."""
+    d = A.shape[0]
+    rows = np.repeat(np.arange(d), np.diff(A.indptr))
+    # with sorted indices, rows * d + A.indices ascends
+    moved = p[rows] * d + p[A.indices]
+    order = np.argsort(moved)
+    return bool(np.array_equal(moved[order], rows * d + A.indices)
+                and np.max(np.abs(A.data[order] - A.data))
+                <= _SYMMETRY_RTOL * np.max(np.abs(A.data)))
+
+
+def _dense_block(A, q, col, size):
+    """Q_sᵀ A Q_s as a Fortran-order array, for the basis Q_s whose row i
+    holds ``q[i]`` in column ``col[i]`` (see :meth:`FemSystem.symmetry_blocks`)."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    keep = (q[rows] != 0.0) & (q[A.indices] != 0.0)
+    r, c = rows[keep], A.indices[keep]
+    return np.bincount(col[r] + col[c] * size, weights=q[r] * q[c] * A.data[keep],
+                       minlength=size * size).reshape((size, size), order="F")
 
 
 def assemble(mesh) -> FemSystem:

@@ -8,9 +8,8 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from fracback import bench, forward
+from fracback import bench, fem, forward
 from fracback.backward import BackwardConfig
 from fracback.bench import (
     ExperimentSpec,
@@ -410,17 +409,19 @@ def test_run_table_pool_has_at_most_one_worker_per_cell(tmp_path, monkeypatch):
 
 def test_parallel_sweep_shares_coarse_eigensolve(tmp_path, monkeypatch):
     # the four cells on n=16 go to two workers in two chunks, each sharing
-    # one system: two dense eigensolves, not one per cell (four); serially
-    # there is one; forked workers log to a file
-    log = tmp_path / "eigh.log"
-    eigh = scipy.linalg.eigh
+    # one system: two eigensolves, not one per cell (four); serially there
+    # is one.  A system's eigensolve runs one LAPACK call per symmetry
+    # block, so the count is of solves per system; forked workers log to a
+    # file
+    log = tmp_path / "eig.log"
+    solve = fem.FemSystem._blocked_eigh
 
-    def counted(*args, **kwargs):
+    def counted(self):
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write("eigh\n")
-        return eigh(*args, **kwargs)
+            fh.write("eig\n")
+        return solve(self)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    monkeypatch.setattr(fem.FemSystem, "_blocked_eigh", counted)
     counts = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("FRACBACK_THREADS", threads)

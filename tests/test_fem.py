@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from fracback import fem
+from fracback.cq import scalar_terminal_factor
 from fracback.fem import (
     GridFunction,
     NumericalFailure,
@@ -177,24 +179,110 @@ def test_eigen_threshold(monkeypatch):
         sys.eigenpairs()
 
 
-@pytest.mark.parametrize("dim, n", [(1, 64), (2, 14), (2, 29)])
-def test_eigenpairs_match_copying_eigh_bitwise(dim, n):
-    # the in-place solve runs the same dsygvd on the same data as the
-    # copying call, and leaves the sparse K and M as they were
+def _spectral_solve(sys, lam, phi, v, gamma=1e-3):
+    # the closed-form regularized solve in the eigenbasis, which depends on
+    # the eigenpairs only through the spectral projectors
+    r_N = scalar_terminal_factor(0.5, 1.0, 40, lam)
+    return phi @ ((phi.T @ (sys.M @ v)) / (gamma + r_N))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (1, 512), (2, 2), (2, 3), (2, 14), (2, 29), (2, 35)])
+def test_eigenpairs_match_copying_eigh(dim, n):
+    # the symmetry blocks give the full pencil's eigenpairs up to rounding
+    # and the basis of each repeated eigenvalue, and leave the sparse K
+    # and M as they were
     sys = assemble(build_interval_mesh(n) if dim == 1 else build_square_mesh(n))
     before = [(A.data.copy(), A.indices.copy(), A.indptr.copy()) for A in (sys.K, sys.M)]
     lam_ref, phi_ref = scipy.linalg.eigh(sys.K.toarray(), sys.M.toarray())
     lam, phi = sys.eigenpairs()
-    assert np.array_equal(lam, lam_ref)
-    assert np.array_equal(phi, phi_ref)
+    assert np.all(np.diff(lam) >= 0.0)
+    assert np.max(np.abs(lam - lam_ref)) <= 1e-12 * lam_ref[-1]
+    assert np.max(np.abs(phi.T @ (sys.M @ phi) - np.eye(sys.num_dofs))) <= 1e-13
+    v = np.random.default_rng(n).standard_normal(sys.num_dofs)
+    want = _spectral_solve(sys, lam_ref, phi_ref, v)
+    assert np.linalg.norm(_spectral_solve(sys, lam, phi, v) - want) <= 1e-12 * np.linalg.norm(want)
     for A, arrays in zip((sys.K, sys.M), before):
         for got, want in zip((A.data, A.indices, A.indptr), arrays):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mesh_reflections_leave_K_and_M_unchanged(dim):
+    # the point reflection reverses the interior dof order; on the square
+    # the transpose swaps the lattice axes.  Odd and even n cover a fixed
+    # centre node and fixed diagonal nodes
+    for n in range(2, 41):
+        sys = assemble(build_interval_mesh(n) if dim == 1 else build_square_mesh(n))
+        ids = np.arange(sys.num_dofs)
+        perms = [ids[::-1]] + ([ids.reshape(n - 1, n - 1).T.ravel()] if dim == 2 else [])
+        for p in perms:
+            for A in (sys.K, sys.M):
+                assert abs(A[p][:, p] - A).max() <= 1e-14 * abs(A).max()
+        # every reflection is kept: 2 blocks in 1D, 4 on the square, whose
+        # bases together form an orthonormal Q that block-diagonalises both
+        blocks = list(sys.symmetry_blocks())
+        assert len(blocks) == 2 * dim
+        sizes = [size for _, _, size in blocks]
+        assert sum(sizes) == sys.num_dofs
+        starts = np.cumsum([0] + sizes[:-1])
+        rows = [np.flatnonzero(q) for q, _, _ in blocks]
+        Q = scipy.sparse.csr_matrix((
+            np.concatenate([q[r] for (q, _, _), r in zip(blocks, rows)]),
+            (np.concatenate(rows),
+             np.concatenate([s + col[r] for (_, col, _), s, r in zip(blocks, starts, rows)]))),
+            shape=(sys.num_dofs, sys.num_dofs))
+        assert abs(Q.T @ Q - scipy.sparse.eye(sys.num_dofs)).max() <= 1e-15
+        block_of = np.repeat(np.arange(len(blocks)), sizes)
+        for A in (sys.K, sys.M):
+            B = (Q.T @ A @ Q).tocoo()
+            across = block_of[B.row] != block_of[B.col]
+            assert np.max(np.abs(B.data[across]), initial=0.0) <= 1e-14 * abs(A).max()
+
+
+def _graded_interval_system(n):
+    """Interval mesh with nodes (i/n)^2: no reflection maps it to itself."""
+    nodes = (np.arange(n + 1, dtype=np.float64) / n) ** 2
+    ids = np.arange(n)
+    mask = np.zeros(n + 1, dtype=bool)
+    mask[[0, n]] = True
+    return assemble(Mesh(dim=1, n=n, nodes=nodes.reshape(-1, 1),
+                         elements=np.column_stack([ids, ids + 1]), boundary_mask=mask))
+
+
+def test_asymmetric_system_is_one_block():
+    # the trivial group's one block is the dense pencil itself, so the
+    # eigenpairs are those of the copying call, bit for bit
+    sys = _graded_interval_system(40)
+    (q, col, size), = sys.symmetry_blocks()
+    assert size == sys.num_dofs
+    assert np.array_equal(q, np.ones(size)) and np.array_equal(col, np.arange(size))
+    lam_ref, phi_ref = scipy.linalg.eigh(sys.K.toarray(), sys.M.toarray())
+    lam, phi = sys.eigenpairs()
+    assert np.array_equal(lam, lam_ref)
+    assert np.array_equal(phi, phi_ref)
+
+
+def test_distorted_square_keeps_only_the_transpose():
+    # (x, y) -> (x^2, y^2) commutes with x <-> y but not with the point
+    # reflection: two blocks, and still the full pencil's eigenpairs
+    square = build_square_mesh(12)
+    sys = assemble(Mesh(dim=2, n=12, nodes=square.nodes ** 2, elements=square.elements,
+                        boundary_mask=square.boundary_mask))
+    assert len(list(sys.symmetry_blocks())) == 2
+    lam_ref, phi_ref = scipy.linalg.eigh(sys.K.toarray(), sys.M.toarray())
+    lam, phi = sys.eigenpairs()
+    assert np.max(np.abs(lam - lam_ref)) <= 1e-12 * lam_ref[-1]
+    assert np.max(np.abs(phi.T @ (sys.M @ phi) - np.eye(sys.num_dofs))) <= 1e-13
+    v = np.random.default_rng(5).standard_normal(sys.num_dofs)
+    want = _spectral_solve(sys, lam_ref, phi_ref, v)
+    assert np.linalg.norm(_spectral_solve(sys, lam, phi, v) - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_eigenpairs_peak_memory():
-    # dense K and M, overwritten by Φ and the Cholesky factor, plus dsygvd's
-    # 2 d² workspace: 4 d² doubles, where copying both matrices reads 6
+    # Φ plus the largest block's solve: its dense K and M blocks,
+    # overwritten by V_s and the Cholesky factor, and dsygvd's workspace.
+    # On the square the blocks hold about d/4 dofs, so the peak is about
+    # 1.3 d² doubles, where one solve of the whole pencil needed 4
     sys = assemble(build_square_mesh(29))
     d = sys.num_dofs
     tracemalloc.start()
@@ -203,7 +291,7 @@ def test_eigenpairs_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4.1 * 8 * d * d
+    assert peak <= 1.6 * 8 * d * d
 
 
 def test_project_zero(sys2d):
