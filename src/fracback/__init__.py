@@ -20,7 +20,6 @@ from fracback.forward import Nonlinearity, TimeGrid, get_nonlinearity, solve_for
 from fracback.backward import (
     BackwardConfig,
     ReconstructionResult,
-    solve_linear_regularized,
     fixed_point_reconstruct,
     select_parameters,
     convergence_order,
@@ -53,7 +52,6 @@ __all__ = [
     "apply_S",
     "BackwardConfig",
     "ReconstructionResult",
-    "solve_linear_regularized",
     "fixed_point_reconstruct",
     "select_parameters",
     "convergence_order",

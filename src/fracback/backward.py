@@ -113,7 +113,8 @@ class Propagator:
     ||F^N v - applied v||_M <= bound * ||v||_M up to rounding.
 
     :meth:`apply_values` and :meth:`solve` take and return nodal values
-    in every mode.
+    in every mode.  ``forward_solves`` counts the N-step forward solves
+    this propagator has run: one per "stepping" application.
     """
 
     def __init__(self, sys: FemSystem, grid: TimeGrid, mode: str, *,
@@ -122,6 +123,7 @@ class Propagator:
         self.grid = grid
         self.degree = grid.N
         self.bound = 0.0
+        self.forward_solves = 0
         if mode == "spectral":
             lam, self.phi = sys.eigenpairs()
             self.symbol = sys.derived(("symbol", grid), lambda: scalar_terminal_factor(
@@ -154,6 +156,7 @@ class Propagator:
         gf = GridFunction(self.sys, v)
         if self.mode == "series":
             return apply_F_series(self.sys, self.grid, gf, self.coeffs).values
+        self.forward_solves += 1
         return apply_F(self.sys, self.grid, gf).values
 
     def solve(self, rhs: np.ndarray, cfg: BackwardConfig):
@@ -172,15 +175,6 @@ class Propagator:
                                   context="regularized backward solve")
 
 
-def solve_linear_regularized(sys: FemSystem, grid: TimeGrid, rhs: GridFunction,
-                             cfg: BackwardConfig) -> GridFunction:
-    """Solve (gamma I + F^N) x = rhs with the propagator ``cfg`` selects."""
-    if rhs.system is not sys:
-        raise ValueError("right-hand side defined on a different system")
-    x, _ = Propagator.for_config(sys, grid, cfg).solve(rhs.values, cfg)
-    return GridFunction(sys, x)
-
-
 def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
                             f: Nonlinearity, cfg: BackwardConfig,
                             truth: Optional[GridFunction] = None) -> ReconstructionResult:
@@ -195,10 +189,10 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
     norm below ``fp_tol``, on the iteration cap, or on the divergence
     heuristic (three consecutive update-norm increases, or a 1e6-fold
     blowup over the first update).
-    The result records the update ratios e_{j+1}/e_j (the observed
-    contraction), how the propagator applied F^N, and ``forward_solves``:
-    the N-step forward solves run, one per S^N and one per F^N
-    application by time stepping.
+    Each pass is one ``history`` record; the result's ``outer_iters``,
+    ``cg_iter_counts``, ``update_ratios`` (e_{j+1}/e_j, the observed
+    contraction) and ``forward_solves`` (N-step solves: one per S^N here
+    plus those the propagator counts) are read from it.
     """
     if g_obs.system is not sys:
         raise ValueError("observation defined on a different system")
@@ -212,33 +206,21 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
     g = g_obs.values
     truth_norm = m_norm(truth.values) if truth is not None else None
     history = []
-    cg_counts = []
-    updates = []
-    forward_solves = 0
-    stepping = prop.mode == "stepping"
+    s_solves = 0
     converged = diverged = False
     consecutive_up = 0
-    outer = 0
 
     for j in range(cfg.fp_max):
-        outer = j + 1
-        if f.is_zero:
-            nonlinear_term = 0.0
-        else:
-            s_term = apply_S(sys, grid, GridFunction(sys, u), f).values
-            nonlinear_term = s_term - prop.apply_values(u)
-            forward_solves += 2 if stepping else 1
-        rhs = g - nonlinear_term
+        rhs = g
+        if not f.is_zero:        # S^N U_j first, then one application of F^N
+            rhs = g - (apply_S(sys, grid, GridFunction(sys, u), f).values - prop.apply_values(u))
+            s_solves += 1
         u_next, cg_it = prop.solve(rhs, cfg)
-        if stepping:
-            forward_solves += cg_it
         e_j = m_norm(u_next - u)
-        updates.append(e_j)
-        cg_counts.append(cg_it)
         err = (m_norm(u_next - truth.values) / truth_norm
                if truth is not None and truth_norm else None)
         history.append({"iter": j, "update_norm": e_j, "error_vs_truth": err,
-                        "cg_iters": cg_it, "forward_solves": forward_solves})
+                        "cg_iters": cg_it, "forward_solves": s_solves + prop.forward_solves})
         u = u_next
         if f.is_zero or e_j < cfg.fp_tol:
             converged = True
@@ -246,16 +228,17 @@ def fixed_point_reconstruct(sys: FemSystem, grid: TimeGrid, g_obs: GridFunction,
         # update norms rattling at the inner-solver noise floor are not
         # divergence; only count increases well above the stopping level
         if j >= 1 and e_j > 100.0 * cfg.fp_tol:
-            consecutive_up = consecutive_up + 1 if e_j > updates[j - 1] else 0
-        if consecutive_up >= 3 or e_j > 1e6 * updates[0]:
+            consecutive_up = consecutive_up + 1 if e_j > history[j - 1]["update_norm"] else 0
+        if consecutive_up >= 3 or e_j > 1e6 * history[0]["update_norm"]:
             diverged = True
             break
 
-    ratios = [b / a if a > 0.0 else None for a, b in zip(updates, updates[1:])]
+    updates = [h["update_norm"] for h in history]
     return ReconstructionResult(
-        u0_hat=GridFunction(sys, u), outer_iters=outer, history=history,
-        cg_iter_counts=cg_counts, converged=converged, diverged=diverged,
-        forward_solves=forward_solves, update_ratios=ratios,
+        u0_hat=GridFunction(sys, u), outer_iters=len(history), history=history,
+        cg_iter_counts=[h["cg_iters"] for h in history], converged=converged,
+        diverged=diverged, forward_solves=history[-1]["forward_solves"],
+        update_ratios=[b / a if a > 0.0 else None for a, b in zip(updates, updates[1:])],
         propagator=prop.describe())
 
 

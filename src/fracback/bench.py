@@ -394,7 +394,11 @@ def run_table(spec: ExperimentSpec, deltas, alphas=None) -> dict:
     if repeated:
         raise ValueError(f"cells would overwrite each other's files: repeated tags {repeated}")
 
-    threads = max(1, int(os.environ.get("FRACBACK_THREADS", "1")))
+    raw = os.environ.get("FRACBACK_THREADS", "1")
+    try:
+        threads = max(1, int(raw))
+    except ValueError:
+        raise ValueError(f"FRACBACK_THREADS must be an integer, got {raw!r}") from None
     jobs = []
     for (row_index, alpha, delta), tag in zip(cells, tags):
         cell_spec = replace(spec, alpha=alpha, noise=replace(spec.noise, delta=delta))

@@ -11,7 +11,6 @@ from fracback.backward import (
     convergence_order,
     fixed_point_reconstruct,
     select_parameters,
-    solve_linear_regularized,
 )
 from fracback.cq import scalar_terminal_factor
 from fracback.fem import (
@@ -37,6 +36,9 @@ def grid():
     return TimeGrid(T=1.0, N=64, alpha=0.5)
 
 
+ZERO = get_nonlinearity("zero")
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         BackwardConfig(gamma=0.0)
@@ -59,8 +61,10 @@ def test_config_validation():
 
 def test_zero_rhs_zero_iterations(sys16, grid):
     cfg = BackwardConfig(gamma=1e-3)
-    out = solve_linear_regularized(sys16, grid, GridFunction(sys16, np.zeros(sys16.num_dofs)), cfg)
-    assert np.allclose(out.values, 0.0)
+    res = fixed_point_reconstruct(sys16, grid, GridFunction(sys16, np.zeros(sys16.num_dofs)),
+                                  ZERO, cfg)
+    assert np.allclose(res.u0_hat.values, 0.0)
+    assert res.cg_iter_counts == [0]
 
 
 @pytest.mark.parametrize("fast_path", ["off", "auto"])
@@ -71,7 +75,7 @@ def test_regularized_solve_matches_spectral_inverse(sys16, grid, fast_path):
     rng = np.random.default_rng(7)
     rhs = rng.standard_normal(sys16.num_dofs)
     cfg = BackwardConfig(gamma=gamma, fast_path=fast_path)
-    x = solve_linear_regularized(sys16, grid, GridFunction(sys16, rhs), cfg)
+    x = fixed_point_reconstruct(sys16, grid, GridFunction(sys16, rhs), ZERO, cfg).u0_hat
     ref = phi @ ((phi.T @ (sys16.M @ rhs)) / (gamma + rN))
     assert np.max(np.abs(x.values - ref)) / np.max(np.abs(ref)) < 1e-8
 
@@ -211,8 +215,8 @@ def test_series_reconstruction_matches_stepping(monkeypatch, sys16, grid, gamma,
     ("spectral", fem.DENSE_CAP, "auto"), ("series", 10, "auto"), ("stepping", fem.DENSE_CAP, "off")])
 def test_forward_solves_counts_n_step_solves(monkeypatch, sys16, grid, mode, dense_cap,
                                              fast_path):
-    f = get_nonlinearity("L_sqrt1pu2:0.5")
-    g = apply_S(sys16, grid, GridFunction(sys16, np.ones(sys16.num_dofs)), f)
+    f_semi = get_nonlinearity("L_sqrt1pu2:0.5")
+    g = apply_S(sys16, grid, GridFunction(sys16, np.ones(sys16.num_dofs)), f_semi)
     monkeypatch.setattr(fem, "DENSE_CAP", dense_cap)
     calls = []
     solve = forward.solve_forward
@@ -222,15 +226,44 @@ def test_forward_solves_counts_n_step_solves(monkeypatch, sys16, grid, mode, den
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(forward, "solve_forward", counted)
-    res = fixed_point_reconstruct(sys16, grid, g, f,
-                                  BackwardConfig(gamma=1e-3, fast_path=fast_path))
-    assert res.propagator["mode"] == mode
-    # one S^N per pass; F^N by stepping adds one per pass and one per CG iteration
-    want = res.outer_iters
-    if mode == "stepping":
-        want += res.outer_iters + sum(res.cg_iter_counts)
-    assert res.forward_solves == len(calls) == want
-    assert res.history[-1]["forward_solves"] == want
+    for f in (f_semi, ZERO):
+        calls.clear()
+        res = fixed_point_reconstruct(sys16, grid, g, f,
+                                      BackwardConfig(gamma=1e-3, fast_path=fast_path))
+        assert res.propagator["mode"] == mode
+        # one S^N per pass; F^N by stepping adds one per pass and one per CG
+        # iteration.  f = 0 runs one pass with neither S^N nor the extra F^N
+        passes = 0 if f.is_zero else res.outer_iters
+        want = passes
+        if mode == "stepping":
+            want += passes + sum(res.cg_iter_counts)
+        assert res.forward_solves == len(calls) == want
+        assert res.history[-1]["forward_solves"] == want
+    assert res.outer_iters == 1 and (want > 0) == (mode == "stepping")
+
+
+@pytest.mark.parametrize("mode, dense_cap, fast_path", [
+    ("spectral", fem.DENSE_CAP, "auto"), ("series", 10, "auto"), ("stepping", fem.DENSE_CAP, "off")])
+def test_linear_reconstruction_is_one_regularized_solve(monkeypatch, sys16, grid, mode,
+                                                        dense_cap, fast_path):
+    # f = 0: one pass, whose iterate is the propagator's solve, bit for bit
+    monkeypatch.setattr(fem, "DENSE_CAP", dense_cap)
+    rhs = np.random.default_rng(12).standard_normal(sys16.num_dofs)
+    cfg = BackwardConfig(gamma=1e-3, fast_path=fast_path)
+    res = fixed_point_reconstruct(sys16, grid, GridFunction(sys16, rhs), ZERO, cfg)
+    prop = Propagator.for_config(sys16, grid, cfg)
+    x, it = prop.solve(rhs, cfg)
+    assert prop.mode == res.propagator["mode"] == mode
+    assert res.converged and not res.diverged and res.outer_iters == 1
+    assert res.cg_iter_counts == [it] and (it > 0) == (mode != "spectral")
+    assert np.array_equal(res.u0_hat.values, x)
+
+
+def test_reconstruction_refuses_observation_on_another_system(sys16, grid):
+    other = assemble(build_interval_mesh(16))
+    g = GridFunction(other, np.ones(other.num_dofs))
+    with pytest.raises(ValueError, match="different system"):
+        fixed_point_reconstruct(sys16, grid, g, ZERO, BackwardConfig(gamma=1e-3))
 
 
 def test_update_ratios_are_recorded(sys16, grid):
@@ -254,8 +287,8 @@ def test_system_keeps_one_symbol_per_grid(monkeypatch, grid):
     monkeypatch.setattr(backward, "scalar_terminal_factor", counted)
     rhs = GridFunction(sys, np.ones(sys.num_dofs))
     for T in (1.0, 1.0, 2.0):
-        solve_linear_regularized(sys, TimeGrid(T=T, N=grid.N, alpha=grid.alpha), rhs,
-                                 BackwardConfig(gamma=1e-3))
+        fixed_point_reconstruct(sys, TimeGrid(T=T, N=grid.N, alpha=grid.alpha), rhs, ZERO,
+                                BackwardConfig(gamma=1e-3))
     assert len(calls) == 2 and set(sys._derived) == {
         "eig", ("symbol", TimeGrid(T=1.0, N=grid.N, alpha=grid.alpha)),
         ("symbol", TimeGrid(T=2.0, N=grid.N, alpha=grid.alpha))}
@@ -271,7 +304,7 @@ def test_huge_gamma_limit(sys16, grid):
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal(sys16.num_dofs)
     cfg = BackwardConfig(gamma=gamma)
-    x = solve_linear_regularized(sys16, grid, GridFunction(sys16, rhs), cfg)
+    x = fixed_point_reconstruct(sys16, grid, GridFunction(sys16, rhs), ZERO, cfg).u0_hat
     assert np.max(np.abs(x.values - rhs / gamma)) / np.max(np.abs(rhs / gamma)) < 1e-6
 
 
@@ -281,7 +314,7 @@ def test_cg_budget_failure(sys16, grid):
     rng = np.random.default_rng(9)
     rhs = GridFunction(sys16, rng.standard_normal(sys16.num_dofs))
     with pytest.raises(NumericalFailure):
-        solve_linear_regularized(sys16, grid, rhs, cfg)
+        fixed_point_reconstruct(sys16, grid, rhs, ZERO, cfg)
 
 
 def test_operator_m_symmetry(sys16, grid):

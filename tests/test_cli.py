@@ -224,6 +224,15 @@ def test_table_bad_alpha_fails_before_any_solve(tmp_path, capsys, no_solve):
     assert not (tmp_path / "out").exists()
 
 
+def test_table_bad_thread_count_fails_before_any_solve(tmp_path, capsys, monkeypatch, no_solve):
+    monkeypatch.setenv("FRACBACK_THREADS", "abc")
+    cfg = write_config(tmp_path)
+    assert main(["table", "--config", str(cfg), "--quiet", "--deltas", "0.002,0.001"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: FRACBACK_THREADS") and "'abc'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_table_zero_delta_fails_before_any_solve(tmp_path, capsys, no_solve):
     # a noise-free cell has no convergence order: the sweep is refused up front
     cfg = write_config(tmp_path)

@@ -207,6 +207,12 @@ def test_forward_solve_does_not_load_csgraph():
         "assert 'scipy.sparse.csgraph' not in sys.modules\n")
 
 
+def test_public_names_resolve():
+    # a deleted function must not leave its name in the export list
+    missing = [name for name in fracback.__all__ if not hasattr(fracback, name)]
+    assert not missing, missing
+
+
 # ---------------------------------------------------------------------------
 # spectral oracle
 
